@@ -1,9 +1,19 @@
-// Package iosched is the unified budgeted I/O scheduler behind every
-// background engine in the library: the Rocpanda async-drain writer pool,
-// the Rocpanda parallel restart read pool, and T-Rochdf's per-process I/O
+// Package iosched is the unified budgeted I/O scheduler behind every I/O
+// engine in the library: the Rocpanda drain (synchronous active buffering,
+// write-through, or the async writer pool), the Rocpanda restart read
+// (serial or the parallel read pool), and T-Rochdf's per-process I/O
 // thread are all thin adapters over one Engine. It realizes the paper's
 // "yield to new client requests" across request classes instead of once
 // per feature:
+//
+//   - Inline or pooled, by width. Config.Workers == 0 is an inline
+//     engine: no workers and no queues; tasks run on the submitter's own
+//     context (its clock and filesystem view) from a local FIFO, when the
+//     submitter calls Step, when the Writeback budget holds a Submit, or
+//     at Flush. That is the paper's synchronous drain between
+//     non-blocking probes and its serial restart read, as policies of the
+//     same engine the background pools use — tallies, metrics, sticky
+//     errors, fatal results and the overlap rule are shared code.
 //
 //   - Typed tasks. A Task carries a Class (write-block, read-extent,
 //     scan-file), a routing Key, a byte Cost, and a Run closure executed on
@@ -31,14 +41,13 @@
 //   - One metrics and trace surface. The Engine owns the unified
 //     iosched.<class>.{queue_depth,backpressure_waits,overlap_seconds,
 //     errors,busy_seconds,tasks} series and emits trace spans from one
-//     place; adapters keep the legacy rocpanda.drain.* / rocpanda.read.*
-//     names populated as views of the same events.
+//     place; adapters add their own names through the hooks.
 //
-// Concurrency contract: Submit, Flush, RunBatch and Close run on the
-// owning rank's goroutine; Run closures execute on the spawned workers.
-// The two sides share only the queues and three atomics (barrier, crashed,
-// dead), which keeps both the race detector and the deterministic
-// simulation happy.
+// Concurrency contract: Submit, Step, Flush, RunBatch and Close run on the
+// owning rank's goroutine; Run closures execute on the spawned workers
+// (on the owning goroutine itself for an inline engine). The two sides
+// share only the queues and three atomics (barrier, crashed, dead), which
+// keeps both the race detector and the deterministic simulation happy.
 package iosched
 
 import (
@@ -146,16 +155,18 @@ type ClassTally struct {
 type Config struct {
 	// Name is the spawn name of the workers (shows in simulation traces).
 	Name string
-	// Workers is the pool width, clamped to [1, MaxWorkers].
+	// Workers is the pool width, capped at MaxWorkers. 0 (or less) makes
+	// an inline engine: tasks run on the submitter, nothing is spawned.
 	Workers int
 	// MaxWorkers caps Workers; <= 0 means no cap.
 	MaxWorkers int
-	// Budget bounds the task bytes in flight; <= 0 is unbounded.
+	// Budget bounds the task bytes in flight (queued, for an inline
+	// engine); <= 0 is unbounded.
 	Budget int64
-	// QueueCap is each worker's job-queue capacity (>= 1).
+	// QueueCap is each worker's job-queue capacity (>= 1). Pools only.
 	QueueCap int
 	// CtlCap sizes the control queue; 0 derives a capacity large enough
-	// that no worker ever blocks reporting a completion.
+	// that no worker ever blocks reporting a completion. Pools only.
 	CtlCap int
 	// Policy is the admission policy; nil defaults to Writeback.
 	Policy Policy
@@ -169,7 +180,8 @@ type Config struct {
 	CloseStateOnExit bool
 	// FatalPanic classifies a Run panic as a worker death (true: the
 	// worker exits crashed, state unclosed) instead of a bug (false or
-	// nil: the panic propagates).
+	// nil: the panic propagates). An inline task's panic always unwinds
+	// the submitter, which is the process the task ran on.
 	FatalPanic func(r interface{}) bool
 	// OverlapExternal disables the worker-side overlap accounting
 	// (Busy outside a barrier); the adapter then decides per completion
@@ -190,12 +202,13 @@ type Config struct {
 	TraceZeroSpans bool
 
 	// OnWorkerDone observes every completion (and flush errors, with a
-	// nil Task) on the worker goroutine, before it is reported — the
-	// legacy per-event histograms live here. overlapped reports the
-	// barrier-free verdict (always false with OverlapExternal).
+	// nil Task) where the task ran, before it is reported — adapters'
+	// per-event histograms live here. overlapped reports the barrier-free
+	// verdict (always false with OverlapExternal).
 	OnWorkerDone func(c Completion, overlapped bool)
-	// OnDepth observes the pool depth (tasks in flight) and queued bytes
-	// after every dispatch, on the submitter — legacy peak gauges.
+	// OnDepth observes the engine depth (tasks submitted, not yet done)
+	// and their bytes after every dispatch, on the submitter — adapters'
+	// peak gauges.
 	OnDepth func(depth int, queued int64)
 	// OnWait observes every counted backpressure wait, on the submitter.
 	OnWait func(c Class)
@@ -227,12 +240,12 @@ type classMx struct {
 	tasks   *metrics.Counter
 }
 
-// Engine is one budgeted worker pool. See the package comment for the
-// concurrency contract.
+// Engine is one budgeted worker pool, or an inline engine (no workers).
+// See the package comment for the concurrency contract.
 type Engine struct {
 	cfg    Config
 	clock  rt.Clock // the submitter's clock identity
-	nw     int
+	nw     int      // pool width; 0 for an inline engine
 	budget int64
 	policy Policy
 	jobs   []rt.Queue
@@ -253,16 +266,42 @@ type Engine struct {
 	tally       [numClasses]ClassTally // merged worker tallies (after exits)
 	ext         [numClasses]float64    // externally-noted overlap seconds
 	mx          [numClasses]classMx
+
+	// Inline engine only: the submitter's context and state, the local
+	// FIFO of submitted tasks, and the sticky error.
+	tc     rt.TaskCtx
+	st     WorkerState
+	fifo   []*Task
+	sticky error
 }
 
-// New builds the pool and spawns its workers.
+// New builds the engine. A pool spawns its workers; an inline engine
+// (Workers <= 0) spawns nothing, creates no queues, and builds its one
+// state on the submitter's own context.
 func New(ctx mpi.Ctx, cfg Config) *Engine {
-	nw := cfg.Workers
-	if nw < 1 {
-		nw = 1
-	}
+	nw := max(cfg.Workers, 0)
 	if cfg.MaxWorkers > 0 && nw > cfg.MaxWorkers {
 		nw = cfg.MaxWorkers
+	}
+	pol := cfg.Policy
+	if pol == nil {
+		pol = Writeback{}
+	}
+	e := &Engine{
+		cfg:         cfg,
+		clock:       ctx.Clock(),
+		nw:          nw,
+		budget:      cfg.Budget,
+		policy:      pol,
+		lastStalled: -1,
+	}
+	for c := Class(0); c < numClasses; c++ {
+		e.mx[c] = newClassMx(cfg.Metrics, c)
+	}
+	if nw == 0 {
+		e.tc = ctx
+		e.st = e.newState(0, ctx)
+		return e
 	}
 	qcap := cfg.QueueCap
 	if qcap < 1 {
@@ -275,22 +314,7 @@ func New(ctx mpi.Ctx, cfg Config) *Engine {
 		// submitter can never wedge the pool.
 		ctlCap = nw*qcap + 2*nw + 4
 	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol = Writeback{}
-	}
-	e := &Engine{
-		cfg:         cfg,
-		clock:       ctx.Clock(),
-		nw:          nw,
-		budget:      cfg.Budget,
-		policy:      pol,
-		ctl:         ctx.NewQueue(ctlCap),
-		lastStalled: -1,
-	}
-	for c := Class(0); c < numClasses; c++ {
-		e.mx[c] = newClassMx(cfg.Metrics, c)
-	}
+	e.ctl = ctx.NewQueue(ctlCap)
 	// All queues exist before any worker starts: a worker indexes e.jobs,
 	// and growing the slice under it would race.
 	for wi := 0; wi < nw; wi++ {
@@ -318,8 +342,13 @@ func newClassMx(r *metrics.Registry, c Class) classMx {
 	}
 }
 
-// Workers returns the clamped pool width.
+// Workers returns the capped pool width; 0 for an inline engine.
 func (e *Engine) Workers() int { return e.nw }
+
+// Pending reports how many submitted tasks an inline engine holds in its
+// FIFO, waiting for Step or Flush. Always 0 for a pool, whose tasks wait
+// on the workers' queues.
+func (e *Engine) Pending() int { return len(e.fifo) }
 
 // Crashed reports whether a worker died to an injected crash.
 func (e *Engine) Crashed() bool { return e.crashed.Load() }
@@ -383,13 +412,14 @@ type SubmitInfo struct {
 // is always enqueued, then the submitter is held on completion signals
 // while the policy says the queue is over budget. Ready completions are
 // reaped (without blocking) first, so depth and byte accounting track the
-// workers' progress at every submit point. Submitter goroutine.
+// workers' progress at every submit point. An inline engine appends the
+// task to its FIFO, and a hold runs queued tasks on the submitter, oldest
+// first, until the queue is back under budget. Submitter goroutine.
 func (e *Engine) Submit(t *Task) SubmitInfo {
-	e.reapReady()
-	e.queued += t.Cost
-	e.depth++
-	e.classDepth[t.Class]++
-	e.noteDepth(t.Class)
+	if e.nw > 0 {
+		e.reapReady()
+	}
+	e.admit(t)
 	info := SubmitInfo{Queued: e.queued, Depth: e.depth}
 	// Whether this submit overruns the budget is decided here, before the
 	// workers can race the check: the wait accounting stays deterministic.
@@ -397,6 +427,12 @@ func (e *Engine) Submit(t *Task) SubmitInfo {
 	if hold {
 		info.Waited = true
 		e.countWait(t.Class)
+	}
+	if e.nw == 0 {
+		e.fifo = append(e.fifo, t)
+		for hold && e.queued > e.budget && e.Step() {
+		}
+		return info
 	}
 	e.jobs[e.route(t)].Put(e.clock, t)
 	for hold && e.queued > e.budget && !e.crashed.Load() {
@@ -414,17 +450,51 @@ func (e *Engine) Submit(t *Task) SubmitInfo {
 	return info
 }
 
+// Step runs an inline engine's oldest queued task on the submitter and
+// reports whether one ran; it runs nothing once the engine crashed.
+// Submitter goroutine.
+func (e *Engine) Step() bool {
+	if len(e.fifo) == 0 || e.crashed.Load() {
+		return false
+	}
+	t := e.fifo[0]
+	e.fifo[0] = nil
+	e.fifo = e.fifo[1:]
+	e.runInline(t)
+	return true
+}
+
+// runInline runs one task on the submitter with the worker accounting.
+func (e *Engine) runInline(t *Task) Completion {
+	c := e.exec(e.tc, e.st, t, &e.tally, &e.sticky)
+	e.noteCompletion(c)
+	if c.Result.Fatal {
+		e.crashed.Store(true)
+	}
+	return c
+}
+
 // Flush is the barrier: every worker finishes its queue, flushes its state
 // (closing files), and acks with its sticky error; the first one is
-// returned. Work done under the barrier is not overlap. If a worker
-// crashed (before or during the flush) Flush returns early — check
-// Crashed. Submitter goroutine.
+// returned. An inline engine runs its FIFO, then flushes its state. Work
+// done under the barrier is not overlap. If a worker crashed (before or
+// during the flush) Flush returns early — check Crashed. Submitter
+// goroutine.
 func (e *Engine) Flush() error {
 	if e.crashed.Load() {
 		return nil
 	}
 	e.barrier.Store(true)
 	defer e.barrier.Store(false)
+	if e.nw == 0 {
+		for e.Step() {
+		}
+		if e.crashed.Load() {
+			return nil
+		}
+		e.flushState(e.st, &e.tally, &e.sticky)
+		return e.sticky
+	}
 	for _, q := range e.jobs {
 		q.Put(e.clock, flushToken{})
 	}
@@ -458,17 +528,28 @@ func (e *Engine) Flush() error {
 // the policy allows it, so the queues stay full and the workers never
 // starve; a deferred task blocks the loop on one completion signal, which
 // both releases budget and lets earlier results ship while later work is
-// still on disk. Returns early if a worker crashed. Submitter goroutine.
+// still on disk. An inline engine runs the tasks one by one, each followed
+// by its onDone. Returns early if a worker crashed. Submitter goroutine.
 func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
+	if e.nw == 0 {
+		for _, t := range tasks {
+			if e.crashed.Load() {
+				return
+			}
+			e.admit(t)
+			c := e.runInline(t)
+			if onDone != nil {
+				onDone(c)
+			}
+		}
+		return
+	}
 	for next := 0; next < len(tasks) || e.depth > 0; {
 		if next < len(tasks) {
 			t := tasks[next]
 			if e.policy.Admit(e.queued, e.budget, e.depth, t.Cost) {
 				e.jobs[e.route(t)].Put(e.clock, t)
-				e.queued += t.Cost
-				e.depth++
-				e.classDepth[t.Class]++
-				e.noteDepth(t.Class)
+				e.admit(t)
 				next++
 				continue
 			}
@@ -501,13 +582,24 @@ func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
 // Close tears the pool down: closes the job queues, drains the control
 // queue until every worker has exited (merging their tallies), and closes
 // the control queue — so simulation worker processes always terminate and
-// no stale message leaks into a later pool. Idempotent; submitter
-// goroutine.
+// no stale message leaks into a later pool. An inline engine cancels what
+// its FIFO still holds (a crashed server's buffered blocks) and closes its
+// state as a worker would. Idempotent; submitter goroutine.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
+	if e.nw == 0 {
+		for _, t := range e.fifo {
+			e.noteCompletion(Completion{Task: t, Cancelled: true})
+		}
+		e.fifo = nil
+		if e.cfg.CloseStateOnExit {
+			e.st.Close()
+		}
+		return
+	}
 	// From here on workers cancel instead of running: a dead pool's queued
 	// tasks die with it (the crashed server's buffered blocks, a torn-down
 	// read round). On the normal path the queues are already empty.
@@ -529,6 +621,14 @@ func (e *Engine) Close() {
 		// Stale flush acks from a barrier a crash interrupted are dropped.
 	}
 	e.ctl.Close()
+}
+
+// admit accounts one dispatched task.
+func (e *Engine) admit(t *Task) {
+	e.queued += t.Cost
+	e.depth++
+	e.classDepth[t.Class]++
+	e.noteDepth(t.Class)
 }
 
 func (e *Engine) noteDepth(c Class) {
@@ -561,14 +661,75 @@ func (e *Engine) noteExit(msg workerExit) {
 	}
 }
 
+// newState builds one worker's private state (the inline engine's one).
+func (e *Engine) newState(wi int, tc rt.TaskCtx) WorkerState {
+	if e.cfg.NewState != nil {
+		return e.cfg.NewState(wi, tc)
+	}
+	return noState{}
+}
+
+// exec runs one task where it executes — a worker, or the submitter of an
+// inline engine — with the accounting both share: tally, the unified
+// metrics, the sticky error, the overlap rule, the trace span and the
+// OnWorkerDone hook.
+func (e *Engine) exec(tc rt.TaskCtx, st WorkerState, t *Task, tally *[numClasses]ClassTally, sticky *error) Completion {
+	t0 := tc.Clock().Now()
+	res := t.Run(tc, st) // a FatalPanic in here unwinds to the caller
+	t1 := tc.Clock().Now()
+	c := Completion{Task: t, Result: res, T0: t0, T1: t1}
+	cl := t.Class
+	tally[cl].Done++
+	tally[cl].Busy += t1 - t0
+	e.mx[cl].busy.Observe(t1 - t0)
+	e.mx[cl].tasks.Inc()
+	overlapped := false
+	if !e.cfg.OverlapExternal && !e.barrier.Load() {
+		// Done while the submitter was free to serve requests (or, inline,
+		// between its requests): this is the overlap the paper claims.
+		overlapped = true
+		tally[cl].Overlap += t1 - t0
+		e.mx[cl].overlap.Observe(t1 - t0)
+	}
+	if res.Err != nil {
+		tally[cl].Errors++
+		e.mx[cl].errors.Inc()
+		if *sticky == nil {
+			*sticky = res.Err
+		}
+	}
+	if e.cfg.Trace != nil && (e.cfg.TraceZeroSpans || t1 > t0) {
+		e.cfg.Trace.Record(e.cfg.TraceRank, e.cfg.TracePhase, t0, t1)
+	}
+	if e.cfg.OnWorkerDone != nil {
+		e.cfg.OnWorkerDone(c, overlapped)
+	}
+	return c
+}
+
+// flushState is the barrier hook on one state: a failed flush becomes the
+// sticky error and counts against the flush class.
+func (e *Engine) flushState(st WorkerState, tally *[numClasses]ClassTally, sticky *error) {
+	err := st.Flush()
+	if err == nil {
+		return
+	}
+	if *sticky == nil {
+		*sticky = err
+	}
+	fc := e.cfg.FlushClass
+	tally[fc].Errors++
+	e.mx[fc].errors.Inc()
+	if e.cfg.OnWorkerDone != nil {
+		e.cfg.OnWorkerDone(Completion{Result: Result{Err: err}}, false)
+	}
+}
+
 // runWorker is one worker's body. It owns private state (its own files,
 // clock identity and filesystem view) and local tallies, so the only
 // cross-task traffic is the queues and the engine's atomics.
 func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
-	st := WorkerState(noState{})
-	if e.cfg.NewState != nil {
-		st = e.cfg.NewState(wi, tc)
-	}
+	st := e.newState(wi, tc)
 	var tally [numClasses]ClassTally
 	var sticky error
 	crashed := false
@@ -595,55 +756,16 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 		}
 		switch t := v.(type) {
 		case flushToken:
-			if err := st.Flush(); err != nil {
-				if sticky == nil {
-					sticky = err
-				}
-				fc := e.cfg.FlushClass
-				tally[fc].Errors++
-				e.mx[fc].errors.Inc()
-				if e.cfg.OnWorkerDone != nil {
-					e.cfg.OnWorkerDone(Completion{Result: Result{Err: err}}, false)
-				}
-			}
+			e.flushState(st, &tally, &sticky)
 			e.ctl.Put(tc.Clock(), flushAck{err: sticky})
 		case *Task:
 			if e.dead.Load() {
 				e.ctl.Put(tc.Clock(), Completion{Task: t, Cancelled: true})
 				continue
 			}
-			t0 := tc.Clock().Now()
-			res := t.Run(tc, st) // a FatalPanic in here exits via the defer
-			t1 := tc.Clock().Now()
-			c := Completion{Task: t, Result: res, T0: t0, T1: t1}
-			cl := t.Class
-			tally[cl].Done++
-			tally[cl].Busy += t1 - t0
-			e.mx[cl].busy.Observe(t1 - t0)
-			e.mx[cl].tasks.Inc()
-			overlapped := false
-			if !e.cfg.OverlapExternal && !e.barrier.Load() {
-				// Done while the submitter was free to serve requests:
-				// this is the overlap the paper claims.
-				overlapped = true
-				tally[cl].Overlap += t1 - t0
-				e.mx[cl].overlap.Observe(t1 - t0)
-			}
-			if res.Err != nil {
-				tally[cl].Errors++
-				e.mx[cl].errors.Inc()
-				if sticky == nil {
-					sticky = res.Err
-				}
-			}
-			if e.cfg.Trace != nil && (e.cfg.TraceZeroSpans || t1 > t0) {
-				e.cfg.Trace.Record(e.cfg.TraceRank, e.cfg.TracePhase, t0, t1)
-			}
-			if e.cfg.OnWorkerDone != nil {
-				e.cfg.OnWorkerDone(c, overlapped)
-			}
+			c := e.exec(tc, st, t, &tally, &sticky)
 			e.ctl.Put(tc.Clock(), c)
-			if res.Fatal {
+			if c.Result.Fatal {
 				crashed = true
 				e.crashed.Store(true)
 				return

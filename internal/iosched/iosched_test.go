@@ -45,8 +45,12 @@ func (c *testClock) sleepCount() int {
 }
 
 // stubCtx is a minimal mpi.Ctx over goroutines and GoQueues — just enough
-// surface for the engine (Clock, Spawn, NewQueue).
-type stubCtx struct{ clock *testClock }
+// surface for the engine (Clock, Spawn, NewQueue). It counts the spawns
+// and queues it hands out.
+type stubCtx struct {
+	clock          *testClock
+	spawns, queues int
+}
 
 func (s *stubCtx) Comm() mpi.Comm    { return nil }
 func (s *stubCtx) Clock() rt.Clock   { return s.clock }
@@ -55,10 +59,14 @@ func (s *stubCtx) Node() int         { return 0 }
 func (s *stubCtx) ProcsPerNode() int { return 1 }
 
 func (s *stubCtx) Spawn(name string, fn func(rt.TaskCtx)) {
+	s.spawns++
 	go fn(stubTaskCtx{clock: s.clock})
 }
 
-func (s *stubCtx) NewQueue(capacity int) rt.Queue { return rt.NewGoQueue(capacity) }
+func (s *stubCtx) NewQueue(capacity int) rt.Queue {
+	s.queues++
+	return rt.NewGoQueue(capacity)
+}
 
 type stubTaskCtx struct{ clock *testClock }
 
@@ -131,13 +139,23 @@ func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
 	}
 }
 
+// widths runs f once per engine width: a pool of pool workers, and the
+// inline engine (Workers: 0).
+func widths(t *testing.T, pool int, f func(t *testing.T, workers int)) {
+	for _, nw := range []int{pool, 0} {
+		t.Run(fmt.Sprintf("workers=%d", nw), func(t *testing.T) { f(t, nw) })
+	}
+}
+
 // TestKeyedOrdering checks the scheduler invariant the drain engine's
 // bit-exactness rests on: tasks sharing a key execute on one worker in
 // submission order, even across a wide pool.
-func TestKeyedOrdering(t *testing.T) {
+func TestKeyedOrdering(t *testing.T) { widths(t, 8, testKeyedOrdering) }
+
+func testKeyedOrdering(t *testing.T, workers int) {
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-order",
-		Workers:  8,
+		Workers:  workers,
 		QueueCap: 256,
 		Policy:   Writeback{},
 	})
@@ -182,12 +200,15 @@ func TestKeyedOrdering(t *testing.T) {
 // TestRestartReadAdmission checks the batch policy's two degenerate modes:
 // unbounded budget floods the pool (peak depth = batch size, no waits),
 // and a tiny budget degenerates to serial admission (peak depth 1, every
-// deferred task counted once).
-func TestRestartReadAdmission(t *testing.T) {
+// deferred task counted once). An inline engine is serial at any budget:
+// one task in flight, nothing ever deferred.
+func TestRestartReadAdmission(t *testing.T) { widths(t, 4, testRestartReadAdmission) }
+
+func testRestartReadAdmission(t *testing.T, workers int) {
 	run := func(budget int64) (peak, waits int) {
 		eng, _ := newTestEngine(t, Config{
 			Name:     "test-read",
-			Workers:  4,
+			Workers:  workers,
 			Budget:   budget,
 			QueueCap: 16,
 			Policy:   RestartRead{},
@@ -209,6 +230,14 @@ func TestRestartReadAdmission(t *testing.T) {
 		eng.RunBatch(tasks, nil)
 		eng.Close()
 		return peak, waits
+	}
+	if workers == 0 {
+		for _, budget := range []int64{0, 1} {
+			if peak, waits := run(budget); peak != 1 || waits != 0 {
+				t.Fatalf("inline, budget %d: peak depth %d waits %d, want 1 and 0", budget, peak, waits)
+			}
+		}
+		return
 	}
 	if peak, waits := run(0); peak != 8 || waits != 0 {
 		t.Fatalf("unbounded budget: peak depth %d waits %d, want 8 and 0", peak, waits)
@@ -243,11 +272,13 @@ func TestRoundRobinDealing(t *testing.T) {
 // TestFlushErrorSticky checks error semantics: a failed task surfaces on
 // the next flush and on every flush after it, so no later generation can
 // commit past a lost block.
-func TestFlushErrorSticky(t *testing.T) {
+func TestFlushErrorSticky(t *testing.T) { widths(t, 1, testFlushErrorSticky) }
+
+func testFlushErrorSticky(t *testing.T, workers int) {
 	boom := errors.New("disk full")
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-err",
-		Workers:  1,
+		Workers:  workers,
 		QueueCap: 8,
 		Policy:   Writeback{},
 	})
@@ -272,10 +303,12 @@ func TestFlushErrorSticky(t *testing.T) {
 // TestFatalResultStopsPool checks the injected-crash path: a fatal task
 // kills its worker after the completion is reported, and the engine
 // surfaces it through Crashed without wedging Flush or Close.
-func TestFatalResultStopsPool(t *testing.T) {
+func TestFatalResultStopsPool(t *testing.T) { widths(t, 1, testFatalResultStopsPool) }
+
+func testFatalResultStopsPool(t *testing.T, workers int) {
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-fatal",
-		Workers:  1,
+		Workers:  workers,
 		QueueCap: 8,
 		Policy:   Writeback{},
 	})
@@ -295,13 +328,15 @@ func TestFatalResultStopsPool(t *testing.T) {
 }
 
 // TestWorkerStateFlush checks that a barrier flushes every worker's
-// private state exactly once per Flush.
-func TestWorkerStateFlush(t *testing.T) {
+// private state exactly once per Flush (an inline engine has one state).
+func TestWorkerStateFlush(t *testing.T) { widths(t, 3, testWorkerStateFlush) }
+
+func testWorkerStateFlush(t *testing.T, workers int) {
 	var mu sync.Mutex
 	flushes := 0
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-state",
-		Workers:  3,
+		Workers:  workers,
 		QueueCap: 8,
 		Policy:   Writeback{},
 		NewState: func(wi int, tc rt.TaskCtx) WorkerState {
@@ -314,8 +349,8 @@ func TestWorkerStateFlush(t *testing.T) {
 	mu.Lock()
 	got := flushes
 	mu.Unlock()
-	if got != 3 {
-		t.Fatalf("flushed %d worker states, want 3", got)
+	if want := max(workers, 1); got != want {
+		t.Fatalf("flushed %d worker states, want %d", got, want)
 	}
 	eng.Close()
 }
@@ -336,11 +371,13 @@ func (c *countingState) Close() error { return nil }
 
 // TestUnifiedMetricNames pins the scheduler's metric surface: one series
 // set per class, under the iosched. prefix.
-func TestUnifiedMetricNames(t *testing.T) {
+func TestUnifiedMetricNames(t *testing.T) { widths(t, 1, testUnifiedMetricNames) }
+
+func testUnifiedMetricNames(t *testing.T, workers int) {
 	reg := metrics.New()
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-names",
-		Workers:  1,
+		Workers:  workers,
 		QueueCap: 8,
 		Policy:   Writeback{},
 		Metrics:  reg,
@@ -368,5 +405,88 @@ func TestUnifiedMetricNames(t *testing.T) {
 	}
 	if got := snap.Counters["iosched.write.tasks"]; got != 1 {
 		t.Fatalf("iosched.write.tasks = %d, want 1", got)
+	}
+}
+
+// TestInlineEngineSpawnsNothing pins the inline engine: no worker and no
+// queue exists, every task runs on the submitter's own context, Submit
+// only queues until the Writeback budget holds it (then runs the oldest
+// tasks until back under budget), Step runs one task, and Flush runs the
+// rest before flushing the one state.
+func TestInlineEngineSpawnsNothing(t *testing.T) {
+	ctx := &stubCtx{clock: &testClock{}}
+	flushes := 0
+	var mu sync.Mutex
+	reg := metrics.New()
+	eng := New(ctx, Config{
+		Name:     "test-inline",
+		Workers:  0,
+		Budget:   25,
+		QueueCap: 8,
+		Policy:   Writeback{},
+		Metrics:  reg,
+		NewState: func(wi int, tc rt.TaskCtx) WorkerState {
+			if tc != rt.TaskCtx(ctx) {
+				t.Errorf("inline state built on %v, want the submitter's context", tc)
+			}
+			return &countingState{mu: &mu, flushes: &flushes}
+		},
+	})
+	var ran []int
+	task := func(i int) *Task {
+		return &Task{Class: ClassWrite, Cost: 10, Run: func(tc rt.TaskCtx, st WorkerState) Result {
+			if tc != rt.TaskCtx(ctx) {
+				t.Errorf("task %d ran on %v, want the submitter's context", i, tc)
+			}
+			ran = append(ran, i)
+			return Result{}
+		}}
+	}
+	for i := 0; i < 2; i++ {
+		if info := eng.Submit(task(i)); info.Waited {
+			t.Fatalf("submit %d held under budget", i)
+		}
+	}
+	if len(ran) != 0 || eng.Pending() != 2 {
+		t.Fatalf("after two submits under budget: ran %v, pending %d; want nothing run, 2 pending", ran, eng.Pending())
+	}
+	// 30 bytes queued > 25: the hold runs the oldest task, leaving 20.
+	if info := eng.Submit(task(2)); !info.Waited {
+		t.Fatal("submit over budget was not held")
+	}
+	if len(ran) != 1 || ran[0] != 0 || eng.Pending() != 2 {
+		t.Fatalf("after the held submit: ran %v, pending %d; want [0] and 2", ran, eng.Pending())
+	}
+	if !eng.Step() || len(ran) != 2 || eng.Pending() != 1 {
+		t.Fatalf("Step: ran %v, pending %d; want [0 1] and 1", ran, eng.Pending())
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Step() || eng.Pending() != 0 || len(ran) != 3 || ran[2] != 2 || flushes != 1 {
+		t.Fatalf("after Flush: ran %v, pending %d, flushes %d; want [0 1 2], 0, 1", ran, eng.Pending(), flushes)
+	}
+	eng.RunBatch([]*Task{task(3), task(4)}, nil)
+	eng.Close()
+	if ctx.spawns != 0 || ctx.queues != 0 {
+		t.Fatalf("inline engine spawned %d workers and created %d queues, want none", ctx.spawns, ctx.queues)
+	}
+	if eng.Workers() != 0 {
+		t.Fatalf("Workers() = %d, want 0", eng.Workers())
+	}
+	if got := eng.Tally(ClassWrite).Done; got != 5 {
+		t.Fatalf("tally done = %d, want 5", got)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["iosched.write.backpressure_waits"]; got != 1 {
+		t.Fatalf("iosched.write.backpressure_waits = %d, want 1", got)
+	}
+	// Tasks 0, 1 (a hold and a Step) and the batch ran outside the Flush
+	// barrier; task 2 ran under it.
+	if got := snap.Histograms["iosched.write.busy_seconds"].Count; got != 5 {
+		t.Fatalf("busy_seconds observed %d tasks, want 5", got)
+	}
+	if got := snap.Histograms["iosched.write.overlap_seconds"].Count; got != 4 {
+		t.Fatalf("overlap_seconds observed %d tasks, want 4 (all but the one run by Flush)", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
@@ -33,20 +34,24 @@ func readAll(t testing.TB, fs rt.FS, name string) []byte {
 	return buf
 }
 
+// drainCounts is the slice of a run's registry the drain tests read:
+// the servers' totals of blocks buffered and written, the peak write-class
+// depth, and the write-class backpressure waits.
+type drainCounts struct {
+	BlocksBuffered, BlocksWritten     int
+	DrainQueuePeak, BackpressureWaits int
+}
+
 // runSnapshotWorkload writes two snapshot generations (with a Sync after
-// each) and shuts down, returning the collected server metrics. One client
-// per server: the channel backend delivers different clients' writes in
-// nondeterministic order, and the bit-exactness contract is per arrival
-// order, not across interleavings.
-func runSnapshotWorkload(t *testing.T, fs rt.FS, cfg Config) []ServerMetrics {
+// each) and shuts down, returning the run's registry counts (one entry:
+// the registry is shared by every server). One client per server: the
+// channel backend delivers different clients' writes in nondeterministic
+// order, and the bit-exactness contract is per arrival order, not across
+// interleavings.
+func runSnapshotWorkload(t *testing.T, fs rt.FS, cfg Config) []drainCounts {
 	t.Helper()
-	var mu sync.Mutex
-	var sm []ServerMetrics
-	cfg.OnServerDone = func(m ServerMetrics) {
-		mu.Lock()
-		sm = append(sm, m)
-		mu.Unlock()
-	}
+	reg := metrics.New()
+	cfg.Metrics = reg
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(2*cfg.NumServers, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, cfg)
@@ -74,7 +79,13 @@ func runSnapshotWorkload(t *testing.T, fs rt.FS, cfg Config) []ServerMetrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sm
+	s := reg.Snapshot()
+	return []drainCounts{{
+		BlocksBuffered:    int(s.Counters["rocpanda.server.blocks_buffered"]),
+		BlocksWritten:     int(s.Counters["rocpanda.server.blocks_written"]),
+		DrainQueuePeak:    int(s.Gauges["iosched.write.queue_depth"]),
+		BackpressureWaits: int(s.Counters["iosched.write.backpressure_waits"]),
+	}}
 }
 
 // TestAsyncDrainBitExactOutput pins the engine's core contract: for the

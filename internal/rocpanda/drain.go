@@ -1,38 +1,42 @@
 package rocpanda
 
-// The background drain engine: the asynchronous writeback the paper's
-// servers use to hide file I/O behind client computation. With
-// Config.AsyncDrain the server no longer drains its buffer inline between
-// probe polls; instead the blocks become ClassWrite tasks on an
-// internal/iosched pool (real goroutines on the channel backend,
-// simulation processes with their own clock and filesystem view on the
-// virtual platforms) that continuously empties a bounded queue while the
-// request loop keeps absorbing client writes.
+// The drain engine: every server's one path from buffered blocks to
+// snapshot files, as a ClassWrite adapter over internal/iosched. The
+// engine's width is the drain policy:
+//
+//   - Inline (the paper's active buffering, Section 6.1). With
+//     ActiveBuffering and no AsyncDrain the engine has no workers: blocks
+//     queue in its FIFO and the request loop runs them one at a time
+//     between non-blocking probes (server.run). BufferBudgetBytes bounds
+//     the FIFO: a block that overruns it stalls the loop, delaying that
+//     client's ack, while the oldest blocks are written out right there —
+//     the paper's graceful overflow.
+//   - Write-through (ActiveBuffering off) is the inline engine with a
+//     one-byte budget: every block is on disk before its ack.
+//   - Background (AsyncDrain). A pool of DrainWriters writer tasks
+//     (real goroutines on the channel backend, simulation processes with
+//     their own clock and filesystem view on the virtual platforms)
+//     continuously empties a bounded queue while the request loop keeps
+//     absorbing client writes; BufferBudgetBytes becomes the bytes in
+//     flight to the pool, and an overrun stalls the loop on completion
+//     signals — no sleep-polling.
 //
 // Ordering and bit-exactness: a block's task key is its destination file,
 // so the scheduler's keyed-ordering invariant (same key => same worker, in
 // submission order) gives each file its blocks in exactly the arrival
-// order the synchronous drain would have used — the output files are
-// byte-identical between the two modes.
+// order the inline drain uses — the output files are byte-identical
+// across the three policies.
 //
-// Backpressure: Config.BufferBudgetBytes becomes the scheduler budget
-// under the Writeback policy. An enqueue that overruns it stalls the
-// request loop (delaying the client's ack) on completion signals — no
-// sleep-polling — until the writers catch up, so a one-block budget
-// degenerates to write-through timing while an ample budget gives full
-// overlap.
-//
-// Commit safety: flushOutput (the barrier behind Sync, restart scans and
-// shutdown) is iosched.Flush: every worker finishes its queue, closes its
-// files and acks with its sticky error. Only then may a client write the
+// Commit safety: flushOutput (the barrier behind Sync, restart reads and
+// shutdown) is iosched.Flush: every queued block is written, every file
+// closed, and the sticky error returned. Only then may a client write the
 // generation's manifest, so crash consistency, catalog publication and
-// generation fallback are unchanged from the synchronous drain.
+// generation fallback are the same for every policy.
 //
-// Faults: the existing crash points fire on the writer task (MidDrain via
-// a fatal task result, BeforeMeta via the sink's panic) exactly as they
-// fire on the synchronous path, and a writer that observes a file error
-// reports it through the flush ack so the client-side allreduce refuses
-// the commit (see client.Sync).
+// Faults: the crash points fire where the block is written (MidDrain via
+// a fatal task result, BeforeMeta via the sink's panic) — on the server
+// itself when inline, on the writer task in the pool — and a file error
+// reaches the client-side allreduce through the flush (see client.Sync).
 
 import (
 	"genxio/internal/faults"
@@ -49,96 +53,67 @@ const (
 	drainQueueCap = 4096
 )
 
-// drainState is a writer's private iosched.WorkerState: a blockSink with
-// the worker's own clock identity and filesystem view. Its files stay
-// open (staged temporaries) if the worker dies to an injected crash, as a
-// real process death would leave them.
+// drainState is a drain task's iosched.WorkerState: a blockSink with the
+// clock identity and filesystem view of whoever runs the task (the server
+// inline, a writer in the pool). Its files stay open (staged temporaries)
+// if the server dies to an injected crash, as a real process death would
+// leave them.
 type drainState struct{ sink *blockSink }
 
 // Flush implements iosched.WorkerState: the barrier closes every file.
 func (d *drainState) Flush() error { return d.sink.closeAll("") }
 
-// Close implements iosched.WorkerState (never called: the drain pool
+// Close implements iosched.WorkerState (never called: the drain engine
 // keeps state unclosed on exit, see Config.CloseStateOnExit).
 func (d *drainState) Close() error { return nil }
 
-// drainEngine adapts one server's async writeback onto internal/iosched.
-// All entry points (enqueue, flushBarrier, close) run on the server
-// goroutine.
-type drainEngine struct {
-	s   *server
-	eng *iosched.Engine
-	// wms collects per-writer sink tallies (blocks, bytes, files); each
-	// entry is written only by its worker, and read only after the
-	// worker's exit message has been received (close).
-	wms    []ServerMetrics
-	closed bool
-}
-
-// newDrainEngine builds the scheduler instance and spawns its writers.
-func newDrainEngine(s *server) *drainEngine {
-	e := &drainEngine{s: s, wms: make([]ServerMetrics, maxDrainWriters)}
-	e.eng = iosched.New(s.ctx, iosched.Config{
+// newDrainEngine builds the server's drain: the scheduler instance for its
+// drain policy (spawning the writers of an AsyncDrain pool). Its entry
+// points (enqueue, flushOutput, and the request loop's Step) run on the
+// server goroutine.
+func newDrainEngine(s *server) *iosched.Engine {
+	cfg := iosched.Config{
 		Name:       "panda-drain",
-		Workers:    s.cfg.DrainWriters,
 		MaxWorkers: maxDrainWriters,
 		Budget:     s.cfg.BufferBudgetBytes,
 		QueueCap:   drainQueueCap,
 		Policy:     iosched.Writeback{},
 		FlushClass: iosched.ClassWrite,
 		NewState: func(wi int, tc rt.TaskCtx) iosched.WorkerState {
-			return &drainState{sink: newBlockSink(s, tc.Clock(), tc.FS(), &e.wms[wi])}
+			return &drainState{sink: newBlockSink(s, tc.Clock(), tc.FS())}
 		},
 		// An injected crash point (BeforeMeta inside the sink) panics with
-		// serverCrashed; the worker dies with its files unclosed.
+		// serverCrashed; a writer dies with its files unclosed.
 		FatalPanic: func(r interface{}) bool { _, died := r.(serverCrashed); return died },
 		Metrics:    s.cfg.Metrics,
-		Trace:      s.cfg.Trace,
-		TraceRank:  s.traceRank(),
-		TracePhase: trace.PhaseDrain,
-		// The drain timeline records every block span, including
-		// zero-width ones on the virtual platforms.
-		TraceZeroSpans: true,
-		// Legacy rocpanda.drain.* views of the scheduler's events.
-		OnWorkerDone: func(c iosched.Completion, overlapped bool) {
-			if c.Task == nil { // a flush-close failure
-				s.mx.drainErrors.Inc()
-				return
-			}
-			s.mx.drainSeconds.Observe(c.T1 - c.T0)
-			if overlapped {
-				s.mx.overlapSeconds.Observe(c.T1 - c.T0)
-			}
-			if c.Result.Err != nil {
-				s.mx.drainErrors.Inc()
+		OnWorkerDone: func(c iosched.Completion, _ bool) {
+			if c.Task != nil {
+				s.mx.drainSeconds.Observe(c.T1 - c.T0)
 			}
 		},
-		OnDepth: func(depth int, queued int64) {
-			if queued > s.m.MaxBufBytes {
-				s.m.MaxBufBytes = queued
-			}
-			s.mx.bufBytesPeak.SetMax(float64(queued))
-			if depth > s.m.DrainQueuePeak {
-				s.m.DrainQueuePeak = depth
-			}
-			s.mx.queueDepth.SetMax(float64(depth))
-		},
-		OnWait: func(iosched.Class) {
-			s.m.BackpressureWaits++
-			s.mx.backpressure.Inc()
-		},
-	})
-	return e
+		OnDepth: func(_ int, queued int64) { s.mx.bufBytesPeak.SetMax(float64(queued)) },
+		OnWait:  func(iosched.Class) { s.mx.overflowStalls.Inc() },
+	}
+	switch {
+	case !s.cfg.ActiveBuffering:
+		cfg.Budget = 1 // write-through
+	case s.cfg.AsyncDrain:
+		cfg.Workers = max(1, s.cfg.DrainWriters)
+		// The writers record every block span on the server's timeline
+		// row, including zero-width ones on the virtual platforms. The
+		// inline drain records none: it is the server's own time.
+		cfg.Trace = s.cfg.Trace
+		cfg.TraceRank = s.traceRank()
+		cfg.TracePhase = trace.PhaseDrain
+		cfg.TraceZeroSpans = true
+	}
+	return iosched.New(s.ctx, cfg)
 }
 
-// crashed reports whether a writer died to an injected crash; the request
-// loop polls it and takes the process down.
-func (e *drainEngine) crashed() bool { return e.eng.Crashed() }
-
-// enqueue hands one buffered block to the scheduler, which may stall the
-// request loop on the byte budget. Runs on the server goroutine.
-func (e *drainEngine) enqueue(blk pendingBlock) {
-	info := e.eng.Submit(&iosched.Task{
+// enqueue hands one block to the drain, which may stall the request loop
+// on the byte budget (writing blocks inline, or waiting for the writers).
+func (s *server) enqueue(blk pendingBlock) {
+	info := s.drain.Submit(&iosched.Task{
 		Class: iosched.ClassWrite,
 		Key:   blk.fname,
 		Cost:  blk.bytes,
@@ -147,52 +122,28 @@ func (e *drainEngine) enqueue(blk pendingBlock) {
 			return iosched.Result{
 				Err: err,
 				// MidDrain fires after the block lands (and its span and
-				// tallies are recorded), exactly as on the synchronous
-				// path.
-				Fatal: e.s.cfg.Crash.Hit(e.s.idx, faults.MidDrain),
+				// tallies are recorded).
+				Fatal: s.cfg.Crash.Hit(s.idx, faults.MidDrain),
 			}
 		},
 	})
-	if info.Waited && e.eng.Crashed() {
+	if info.Waited && s.drain.Crashed() {
 		panic(serverCrashed{})
 	}
 }
 
-// flushBarrier empties the pool: every writer finishes its queue, closes
-// its files and acks. Returns the first sticky writer error. Panics with
-// serverCrashed if a writer died to an injected crash. Runs on the server
-// goroutine.
-func (e *drainEngine) flushBarrier() error {
-	if e.eng.Crashed() {
+// flushOutput forces every buffered or queued block to disk and closes the
+// snapshot files, returning the server's sticky drain error (nil when all
+// output landed): the barrier-before-commit that sync, restart reads and
+// shutdown rely on. Panics with serverCrashed if a drain task died to an
+// injected crash.
+func (s *server) flushOutput() error {
+	if s.drain.Crashed() {
 		panic(serverCrashed{})
 	}
-	err := e.eng.Flush()
-	if e.eng.Crashed() {
+	err := s.drain.Flush()
+	if s.drain.Crashed() {
 		panic(serverCrashed{})
 	}
 	return err
-}
-
-// close tears the pool down and merges the writers' tallies into the
-// server's metrics. Called exactly once, from run's deferred cleanup, on
-// both the normal and the crashed path — so OnServerDone always sees the
-// writers' completed counts, and the simulation's non-daemon writer
-// processes always terminate.
-func (e *drainEngine) close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	e.eng.Close()
-	for i := range e.wms {
-		e.s.m.BlocksWritten += e.wms[i].BlocksWritten
-		e.s.m.BytesWritten += e.wms[i].BytesWritten
-		e.s.m.FilesCreated += e.wms[i].FilesCreated
-	}
-	t := e.eng.Tally(iosched.ClassWrite)
-	e.s.m.OverlapSeconds += t.Overlap
-	e.s.m.DrainErrors += int(t.Errors)
-	if e.eng.Crashed() {
-		e.s.m.Crashed = true
-	}
 }

@@ -1,53 +1,64 @@
 package rocpanda
 
-// The parallel restart read engine: the read-side twin of the background
-// drain engine (drain.go), and the second client of internal/iosched. With
-// Config.ParallelRead a restart round's file share — catalog-planned
-// extent reads and directory-scan fallbacks alike — becomes a batch of
-// ClassRead / ClassScan tasks executed by a scheduler pool (ctx.Spawn:
-// real goroutines on the channel backend, simulation processes with their
-// own clock and filesystem view on the virtual platforms) instead of one
-// file at a time on the request loop.
+// The restart read engine: every server's one path from its share of a
+// restart round's files to the clients, as a ClassRead / ClassScan adapter
+// over internal/iosched (the read-side twin of the drain engine, drain.go).
+// A round's share — catalog-planned extent reads and directory-scan
+// fallbacks alike — becomes one batch of tasks. The engine's width is the
+// read policy:
 //
-// Division of labor: workers do disk I/O only — they fill preallocated run
-// buffers with ReadAt chunks, or walk a scan-fallback file into ship-ready
-// pane payloads — and report results as task completions. The server
-// goroutine does everything else: CRC verification, inflate, pane
-// assembly, and every network send (simulated endpoints charge the sending
-// process, so shipping must stay on the server's own identity). Reads of
+//   - Serial (the paper's restart, Section 4.1; ParallelRead off). The
+//     engine is inline: each file is one task run on the server itself,
+//     in plan order, each followed by its verification and shipping. A
+//     planned file's task opens it and reads each coalesced run with one
+//     ReadAt; the server closes it once its panes shipped or it was
+//     skipped. A scan task walks the file through the library. These are
+//     the serial restart's FS operations, in its order.
+//   - Parallel (ParallelRead). A pool of ReadWorkers (ctx.Spawn: real
+//     goroutines on the channel backend, simulation processes with their
+//     own clock and filesystem view on the virtual platforms) reads the
+//     share concurrently, with disk reads of one file pipelined against
+//     the network shipping of another.
+//
+// Division of labor: tasks do disk I/O only — they fill preallocated run
+// buffers with ReadAt, or walk a scan-fallback file into ship-ready pane
+// payloads — and report results as task completions. The server goroutine
+// does everything else: CRC verification, inflate, pane assembly, and
+// every network send (simulated endpoints charge the sending process, so
+// shipping must stay on the server's own identity). In the pool, reads of
 // file N+1 therefore overlap the verification and shipping of file N,
-// which is the pipelining the engine exists for.
+// which is the pipelining the pool exists for.
 //
-// Granularity: coalesced runs are split into readChunkBytes chunks, so
-// even a single large snapshot file spreads across the whole pool. On the
-// simulated NFS platforms each worker process has its own stream-read
+// Granularity: the pool splits coalesced runs into readChunkBytes chunks,
+// so even a single large snapshot file spreads across the whole pool. On
+// the simulated NFS platforms each worker process has its own stream-read
 // pacing, so the chunks of one file genuinely overlap — this, not
 // file-level fan-out, is where the restart speedup comes from when a
 // server's share is one big file.
 //
 // Ordering and dedupe compatibility: within one file, entries ship in plan
-// order exactly as the serial path does; across files, completion order
-// may differ from the serial listing order, but a pane is planned from
-// exactly one file per server and clients dedupe on first arrival (the
-// copies a failover may leave in two files are identical), so what a rank
-// restores is bit-identical to the serial path. Tasks are unkeyed: the
-// scheduler deals them round-robin by submission index, and disjoint
-// chunks need no ordering.
+// order in both modes; across files, the pool's completion order may
+// differ from the serial plan order, but a pane is planned from exactly
+// one file per server and clients dedupe on first arrival (the copies a
+// failover may leave in two files are identical), so what a rank restores
+// is bit-identical either way. Tasks are unkeyed: the scheduler deals them
+// round-robin by submission index, and disjoint chunks need no ordering.
 //
-// Backpressure: Config.ReadBudgetBytes becomes the scheduler budget under
-// the RestartRead policy: a task that would overrun the budget is deferred
+// Backpressure: Config.ReadBudgetBytes becomes the pool's budget under the
+// RestartRead policy: a task that would overrun the budget is deferred
 // until outstanding reads complete, but an idle pool always admits, so
 // progress is guaranteed and a one-byte budget degenerates to serial
 // reads. Because the budget is this instance's alone, a restart round is
 // admitted immediately even while the same server's drain instance is
 // still emptying a previous generation's queue.
 //
-// Failure: a worker never panics the process. Open/ReadAt errors and
+// Failure: a task never panics the process. Open/ReadAt errors and
 // damaged payloads mark the file failed; the server skips it whole —
-// nothing from a failed file ever ships, matching the serial path — and
-// accounts the discarded bytes as wasted, not read. An injected MidRead
-// crash fires on a worker as a fatal task result; the server then dies as
-// one process, and the clients' stall detection takes over.
+// nothing from a failed file ever ships — accounts the discarded bytes as
+// wasted, not read, and retries the file's panes against their other
+// copies (recoverPanes). An injected MidRead crash fires at the end of a
+// task as a fatal result; the server then dies as one process, and the
+// clients' stall detection takes over.
 
 import (
 	"genxio/internal/catalog"
@@ -63,8 +74,8 @@ const (
 	// defaultReadWorkers is used when ParallelRead is on and ReadWorkers
 	// is unset.
 	defaultReadWorkers = 4
-	// readChunkBytes splits coalesced runs into pool-sized chunks; see the
-	// granularity note above.
+	// readChunkBytes splits coalesced runs into pool-sized chunks (pool
+	// only); see the granularity note above.
 	readChunkBytes = 512 << 10
 )
 
@@ -81,15 +92,15 @@ type readItem struct {
 	cat *catalog.Catalog
 }
 
-// readFile is the server-side state of one file in a parallel round.
+// readFile is the server-side state of one file of a restart round.
 type readFile struct {
 	name   string
 	scan   bool
 	plan   catalog.FilePlan
 	cat    *catalog.Catalog // per-item catalog (chain rounds); nil otherwise
 	runs   []catalog.Run
-	bufs   [][]byte // one buffer per run; chunk tasks fill disjoint windows
-	left   int      // outstanding worker results for this file
+	bufs   [][]byte // one buffer per run; tasks fill disjoint windows
+	left   int      // outstanding task results for this file
 	failed bool
 	opened bool
 	read   int64 // bytes successfully pulled from the file so far
@@ -106,11 +117,41 @@ type readResult struct {
 	ships  []paneShip // scan tasks only: ship-ready pane payloads
 }
 
-// readHandles is a read worker's private iosched.WorkerState: one cached
-// open handle per file (several workers may hold handles on the same file;
-// each reads disjoint chunks). Closed on every worker exit, crashed or
-// not, exactly as the pre-scheduler pool did.
-type readHandles struct{ m map[string]rt.File }
+// readHandles is a read task's iosched.WorkerState: its open snapshot
+// files. A pool worker caches one handle per file (several workers may
+// hold handles on the same file; each reads disjoint chunks) and closes
+// them on every exit, crashed or not. The inline engine holds only the
+// file its last task read, until consume is done with it (release): the
+// serial restart closed each file after shipping or skipping it.
+type readHandles struct {
+	m    map[string]rt.File
+	held rt.File
+}
+
+// open returns the file's handle, cached in a pool worker, held inline.
+func (h *readHandles) open(fsys rt.FS, name string) (rt.File, error) {
+	if f, ok := h.m[name]; ok {
+		return f, nil
+	}
+	f, err := fsys.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	if h.m != nil {
+		h.m[name] = f
+	} else {
+		h.held = f
+	}
+	return f, nil
+}
+
+// release closes the held file, if any.
+func (h *readHandles) release() {
+	if h.held != nil {
+		h.held.Close()
+		h.held = nil
+	}
+}
 
 // Flush implements iosched.WorkerState (restart rounds never flush).
 func (h *readHandles) Flush() error { return nil }
@@ -120,12 +161,13 @@ func (h *readHandles) Close() error {
 	for _, f := range h.m {
 		f.Close()
 	}
+	h.release()
 	return nil
 }
 
 // readEngine adapts one restart round's share onto internal/iosched. It is
 // created per round (restart rounds are rare and bounded, unlike the
-// server-lifetime drain pool) and torn down before the round's done
+// server-lifetime drain engine) and torn down before the round's done
 // notifications go out. consume runs on the server goroutine.
 type readEngine struct {
 	s      *server
@@ -136,64 +178,76 @@ type readEngine struct {
 	// Server-goroutine-only state.
 	files   []*readFile
 	tasks   []*iosched.Task
+	serial  *readHandles     // the inline engine's state (empty for a pool)
 	cat     *catalog.Catalog // nil in scan-fallback rounds (no index of copies)
 	bad     map[string]bool  // files that failed an open; retries skip them
 	shipped bool             // something left this server already (overlap accounting)
 }
 
-// newReadEngine builds the round's file states and task list, then spawns
-// the workers. Planned files get their run buffers allocated here, split
-// into chunk tasks; scan files are one task each, budget-costed by file
-// size.
-func newReadEngine(s *server, window string, round *readRound, items []readItem, cat *catalog.Catalog, badFiles map[string]bool) *readEngine {
-	nw := s.cfg.ReadWorkers
-	if nw <= 0 {
-		nw = defaultReadWorkers
-	}
-	if nw > maxReadWorkers {
-		nw = maxReadWorkers
+// newReadEngine builds the round's file states and task list, then the
+// scheduler instance (spawning the pool's workers). Planned files get their
+// run buffers allocated here, read by one task per file inline or split
+// into chunk tasks in the pool; scan files are one task each, costed by
+// file size in the pool's budget.
+func newReadEngine(s *server, window string, round *readRound, items []readItem, cat *catalog.Catalog) *readEngine {
+	nw := 0
+	if s.cfg.ParallelRead {
+		nw = s.cfg.ReadWorkers
+		if nw <= 0 {
+			nw = defaultReadWorkers
+		}
+		nw = min(nw, maxReadWorkers)
 	}
 	e := &readEngine{
 		s:      s,
 		window: window,
 		round:  round,
 		cat:    cat,
-		bad:    badFiles,
+		bad:    make(map[string]bool),
+		serial: &readHandles{},
 	}
 	for _, it := range items {
 		fi := len(e.files)
 		if it.scan {
-			f := &readFile{name: it.name, scan: true, left: 1}
-			e.files = append(e.files, f)
-			cost, _ := s.ctx.FS().Stat(it.name) // unknown size costs zero
+			e.files = append(e.files, &readFile{name: it.name, scan: true, left: 1})
+			var cost int64
+			if nw > 0 {
+				cost, _ = s.ctx.FS().Stat(it.name) // unknown size costs zero
+			}
 			e.tasks = append(e.tasks, e.scanTask(fi, it.name, cost))
 			continue
 		}
 		f := &readFile{name: it.name, plan: it.plan, cat: it.cat, runs: catalog.Coalesce(it.plan.Entries, 0)}
 		f.bufs = make([][]byte, len(f.runs))
 		e.files = append(e.files, f)
+		var whole []extent
 		for ri, run := range f.runs {
 			f.bufs[ri] = make([]byte, run.Length)
+			if nw == 0 {
+				whole = append(whole, extent{run.Offset, f.bufs[ri]})
+				continue
+			}
 			for off := int64(0); off < run.Length; off += readChunkBytes {
 				n := min(int64(readChunkBytes), run.Length-off)
-				e.tasks = append(e.tasks, e.chunkTask(fi, it.name, run.Offset+off, f.bufs[ri][off:off+n]))
+				e.tasks = append(e.tasks, e.extentTask(fi, it.name, []extent{{run.Offset + off, f.bufs[ri][off : off+n]}}))
 				f.left++
 			}
 		}
+		if nw == 0 {
+			e.tasks = append(e.tasks, e.extentTask(fi, it.name, whole))
+			f.left = 1
+		}
 	}
-	e.eng = iosched.New(s.ctx, iosched.Config{
+	cfg := iosched.Config{
 		Name:       "panda-read",
 		Workers:    nw,
 		MaxWorkers: maxReadWorkers,
 		Budget:     s.cfg.ReadBudgetBytes,
-		// Queues are sized so no Put ever blocks: the scheduler deals
-		// unkeyed tasks round-robin by index, and the control queue holds
-		// one completion per task plus every exit. A crashed worker that
-		// abandons its queue can then never wedge the server mid-Put.
-		QueueCap: len(e.tasks)/nw + 2,
-		CtlCap:   len(e.tasks) + nw + 4,
-		Policy:   iosched.RestartRead{},
+		Policy:     iosched.RestartRead{},
 		NewState: func(wi int, tc rt.TaskCtx) iosched.WorkerState {
+			if nw == 0 {
+				return e.serial
+			}
 			return &readHandles{m: make(map[string]rt.File)}
 		},
 		CloseStateOnExit: true,
@@ -205,44 +259,49 @@ func newReadEngine(s *server, window string, round *readRound, items []readItem,
 		// time after the round's first ship (see consume) and reports it
 		// with NoteOverlap.
 		OverlapExternal: true,
-		// Legacy rocpanda.read.* views of the scheduler's events.
-		OnDepth: func(depth int, queued int64) {
-			if depth > s.m.ReadQueuePeak {
-				s.m.ReadQueuePeak = depth
-			}
-			s.mx.readQueueDepth.SetMax(float64(depth))
-		},
-		OnWait: func(iosched.Class) {
-			s.m.ReadBackpressureWaits++
-			s.mx.readBackpressure.Inc()
-		},
-	})
+	}
+	if nw > 0 {
+		// Queues are sized so no Put ever blocks: the scheduler deals
+		// unkeyed tasks round-robin by index, and the control queue holds
+		// one completion per task plus every exit. A crashed worker that
+		// abandons its queue can then never wedge the server mid-Put.
+		cfg.QueueCap = len(e.tasks)/nw + 2
+		cfg.CtlCap = len(e.tasks) + nw + 4
+	}
+	e.eng = iosched.New(s.ctx, cfg)
 	return e
 }
 
-// chunkTask builds one contiguous disk read: fill buf from off.
-func (e *readEngine) chunkTask(fi int, name string, off int64, buf []byte) *iosched.Task {
+// extent is one contiguous disk read: fill buf from off.
+type extent struct {
+	off int64
+	buf []byte
+}
+
+// extentTask builds one task reading extents of one file: a chunk in the
+// pool, or all of a file's runs inline.
+func (e *readEngine) extentTask(fi int, name string, exts []extent) *iosched.Task {
+	var cost int64
+	for _, x := range exts {
+		cost += int64(len(x.buf))
+	}
 	return &iosched.Task{
 		Class: iosched.ClassRead,
-		Cost:  int64(len(buf)),
+		Cost:  cost,
 		Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
-			handles := st.(*readHandles).m
 			res := readResult{fi: fi}
-			f, ok := handles[name]
-			if !ok {
-				var err error
-				f, err = tc.FS().Open(name)
-				if err != nil {
-					res.failed = true
-					return e.finish(res)
-				}
-				handles[name] = f
+			f, err := st.(*readHandles).open(tc.FS(), name)
+			if err != nil {
+				res.failed = true
+				return e.finish(res)
 			}
 			res.opened = true
-			if _, err := f.ReadAt(buf, off); err != nil {
-				res.failed = true
-			} else {
-				res.read = int64(len(buf))
+			for _, x := range exts {
+				if _, err := f.ReadAt(x.buf, x.off); err != nil {
+					res.failed = true
+					break
+				}
+				res.read += int64(len(x.buf))
 			}
 			return e.finish(res)
 		},
@@ -263,25 +322,26 @@ func (e *readEngine) scanTask(fi int, name string, cost int64) *iosched.Task {
 	}
 }
 
-// finish wraps a worker result, evaluating the injected MidRead crash
-// after the work (and before the completion is reported, whose tallies and
-// span still land — the server then dies with the worker, exactly as the
-// serial path's maybeCrash would).
+// finish wraps a task result, evaluating the injected MidRead crash after
+// the work (and before the completion is reported, whose tallies and span
+// still land, and whose panes still ship — the server then dies).
 func (e *readEngine) finish(res readResult) iosched.Result {
 	return iosched.Result{Value: res, Fatal: e.s.cfg.Crash.Hit(e.s.idx, faults.MidRead)}
 }
 
 // runReadPool executes one restart round's share through the scheduler.
 // Runs on the server goroutine; returns only after every worker has
-// exited. If a worker hit an injected crash the server process dies with
+// exited. If a task hit an injected crash the server process dies with
 // it.
-func (s *server) runReadPool(window string, round *readRound, items []readItem, cat *catalog.Catalog, badFiles map[string]bool) {
-	e := newReadEngine(s, window, round, items, cat, badFiles)
+func (s *server) runReadPool(window string, round *readRound, items []readItem, cat *catalog.Catalog) {
+	if len(items) == 0 {
+		return
+	}
+	e := newReadEngine(s, window, round, items, cat)
 	defer e.eng.Close()
 	e.eng.RunBatch(e.tasks, e.consume)
 	e.eng.Close()
 	if e.eng.Crashed() {
-		s.m.Crashed = true
 		panic(serverCrashed{})
 	}
 }
@@ -293,18 +353,15 @@ func (e *readEngine) consume(c iosched.Completion) {
 	s := e.s
 	r := c.Result.Value.(readResult)
 	f := e.files[r.fi]
-	if c.T1 > c.T0 && e.shipped {
-		// Disk time spent after this round's first pane left the server:
-		// reads of later files overlapped earlier files' sends — the
-		// pipelining the engine exists for.
-		dt := c.T1 - c.T0
-		s.m.ReadOverlapSeconds += dt
-		s.mx.readOverlap.Observe(dt)
-		e.eng.NoteOverlap(c.Task.Class, dt)
+	if c.T1 > c.T0 && e.shipped && e.eng.Workers() > 0 {
+		// Disk time a worker spent after this round's first pane left the
+		// server: reads of later files overlapped earlier files' sends —
+		// the pipelining the pool exists for. Inline reads overlap
+		// nothing: the server does them between its sends.
+		e.eng.NoteOverlap(c.Task.Class, c.T1-c.T0)
 	}
 	if r.opened && !f.opened {
 		f.opened = true
-		s.m.FilesOpened++
 		s.mx.filesOpened.Inc()
 	}
 	if r.failed {
@@ -327,22 +384,24 @@ func (e *readEngine) consume(c iosched.Completion) {
 	if f.left > 0 {
 		return
 	}
-	if f.failed {
-		s.skipFile(f.read)
-		e.retry(f)
-		return
-	}
-	ships, crcFailed, ok := assembleShips(f.plan, f.runs, f.bufs, e.round)
-	if crcFailed {
-		s.mx.checksumFails.Inc()
+	var ships []paneShip
+	ok := !f.failed
+	if ok {
+		var crcFailed bool
+		ships, crcFailed, ok = assembleShips(f.plan, f.runs, f.bufs, e.round)
+		if crcFailed {
+			s.mx.checksumFails.Inc()
+		}
 	}
 	if !ok {
 		s.skipFile(f.read)
+		e.serial.release()
 		e.retry(f)
 		return
 	}
 	s.noteRestartBytes(f.read)
 	s.sendShips(ships)
+	e.serial.release()
 	if len(ships) > 0 {
 		e.shipped = true
 	}

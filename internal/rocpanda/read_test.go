@@ -2,6 +2,7 @@ package rocpanda
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,32 +12,19 @@ import (
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
+	"genxio/internal/roccom"
 	"genxio/internal/rt"
 )
-
-// collectServerMetrics returns a tune hook that turns on the read engine
-// knobs via tune and collects every server's final metrics.
-func collectServerMetrics(sm *[]ServerMetrics, mu *sync.Mutex, tune func(*Config)) func(*Config) {
-	return func(cfg *Config) {
-		if tune != nil {
-			tune(cfg)
-		}
-		cfg.OnServerDone = func(m ServerMetrics) {
-			mu.Lock()
-			*sm = append(*sm, m)
-			mu.Unlock()
-		}
-	}
-}
 
 // restartExpectIncomplete restarts file on a fresh world over fs and
 // requires every client's collective read to fail with
 // ErrIncompleteRestart — the degraded-not-dead contract of a damaged or
-// unreachable share. Returns the servers' final metrics.
-func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nServers int, reg *metrics.Registry, tune func(*Config)) []ServerMetrics {
+// unreachable share. Returns the run's counters (reg may be nil).
+func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nServers int, reg *metrics.Registry, tune func(*Config)) map[string]int64 {
 	t.Helper()
-	var mu sync.Mutex
-	var sm []ServerMetrics
+	if reg == nil {
+		reg = metrics.New()
+	}
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(nClients+nServers, func(ctx mpi.Ctx) error {
 		cfg := Config{
@@ -45,11 +33,6 @@ func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nSer
 		}
 		if tune != nil {
 			tune(&cfg)
-		}
-		cfg.OnServerDone = func(m ServerMetrics) {
-			mu.Lock()
-			sm = append(sm, m)
-			mu.Unlock()
 		}
 		cl, err := Init(ctx, cfg)
 		if err != nil {
@@ -75,7 +58,7 @@ func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nSer
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sm
+	return reg.Snapshot().Counters
 }
 
 // TestParallelReadMxNBitExact is the read engine's core contract: with
@@ -84,7 +67,6 @@ func restartExpectIncomplete(t *testing.T, fs rt.FS, file string, nClients, nSer
 // across files may differ, but per-file plan order and first-arrival
 // dedupe make the restored state equal.
 func TestParallelReadMxNBitExact(t *testing.T) {
-	var mu sync.Mutex
 	cases := []struct {
 		name               string
 		wClients, wServers int
@@ -103,13 +85,12 @@ func TestParallelReadMxNBitExact(t *testing.T) {
 			serialReg := metrics.New()
 			checkMxN(t, want, restartTopology(t, fs, file, tc.rClients, tc.rServers, serialReg))
 
-			var sm []ServerMetrics
 			parReg := metrics.New()
 			got := restartTopologyCfg(t, fs, file, tc.rClients, tc.rServers, parReg,
-				collectServerMetrics(&sm, &mu, func(cfg *Config) {
+				func(cfg *Config) {
 					cfg.ParallelRead = true
 					cfg.ReadWorkers = 4
-				}))
+				})
 			checkMxN(t, want, got)
 
 			// Same generation, same plans: the engine must read exactly the
@@ -121,20 +102,12 @@ func TestParallelReadMxNBitExact(t *testing.T) {
 			if hits := pSnap.Counters["rocpanda.restart.catalog_hits"]; hits != int64(tc.rServers) {
 				t.Fatalf("catalog_hits = %d, want %d", hits, tc.rServers)
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			var served, errs int
-			for _, m := range sm {
-				served += m.ReadsServed
-				errs += m.ReadErrors
-			}
-			if served == 0 {
+			if pSnap.Counters["rocpanda.server.reads_served"] == 0 {
 				t.Fatal("parallel servers shipped nothing")
 			}
-			if errs != 0 {
+			if errs := pSnap.Counters["rocpanda.read.errors"]; errs != 0 {
 				t.Fatalf("read errors = %d on a healthy restart", errs)
 			}
-			sm = nil
 		})
 	}
 }
@@ -146,23 +119,17 @@ func TestParallelReadMxNBitExact(t *testing.T) {
 func TestParallelReadQueueFillsUnbounded(t *testing.T) {
 	fs := rt.NewMemFS()
 	writeSnapshot(t, fs, "pq/s", 8, 2, 2)
-	var mu sync.Mutex
-	var sm []ServerMetrics
-	got := restartTopologyCfg(t, fs, "pq/s", 3, 1, nil,
-		collectServerMetrics(&sm, &mu, func(cfg *Config) { cfg.ParallelRead = true }))
+	reg := metrics.New()
+	got := restartTopologyCfg(t, fs, "pq/s", 3, 1, reg, func(cfg *Config) { cfg.ParallelRead = true })
 	checkMxN(t, expectedPanes(t, 8, 2), got)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sm) != 1 {
-		t.Fatalf("server metrics %v, want 1 server", sm)
-	}
+	s := reg.Snapshot()
 	// The lone server's share is the two writers' files: at least one task
 	// per file must have been in flight together.
-	if sm[0].ReadQueuePeak < 2 {
-		t.Fatalf("ReadQueuePeak = %d, want >= 2 (both files in flight)", sm[0].ReadQueuePeak)
+	if peak := s.Gauges["iosched.read.queue_depth"]; peak < 2 {
+		t.Fatalf("iosched.read.queue_depth = %.0f, want >= 2 (both files in flight)", peak)
 	}
-	if sm[0].ReadBackpressureWaits != 0 {
-		t.Fatalf("backpressure waits = %d with no budget", sm[0].ReadBackpressureWaits)
+	if waits := s.Counters["iosched.read.backpressure_waits"]; waits != 0 {
+		t.Fatalf("backpressure waits = %d with no budget", waits)
 	}
 }
 
@@ -173,26 +140,19 @@ func TestParallelReadQueueFillsUnbounded(t *testing.T) {
 func TestParallelReadBudgetOneByteDegeneratesToSerial(t *testing.T) {
 	fs := rt.NewMemFS()
 	writeSnapshot(t, fs, "pb/s", 8, 2, 2)
-	var mu sync.Mutex
-	var sm []ServerMetrics
-	got := restartTopologyCfg(t, fs, "pb/s", 3, 1, nil,
-		collectServerMetrics(&sm, &mu, func(cfg *Config) {
-			cfg.ParallelRead = true
-			cfg.ReadWorkers = 4
-			cfg.ReadBudgetBytes = 1
-		}))
+	reg := metrics.New()
+	got := restartTopologyCfg(t, fs, "pb/s", 3, 1, reg, func(cfg *Config) {
+		cfg.ParallelRead = true
+		cfg.ReadWorkers = 4
+		cfg.ReadBudgetBytes = 1
+	})
 	checkMxN(t, expectedPanes(t, 8, 2), got)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sm) != 1 {
-		t.Fatalf("server metrics %v, want 1 server", sm)
+	s := reg.Snapshot()
+	if peak := s.Gauges["iosched.read.queue_depth"]; peak != 1 {
+		t.Fatalf("iosched.read.queue_depth = %.0f with a 1-byte budget, want 1", peak)
 	}
-	m := sm[0]
-	if m.ReadQueuePeak != 1 {
-		t.Fatalf("ReadQueuePeak = %d with a 1-byte budget, want 1", m.ReadQueuePeak)
-	}
-	if m.ReadBackpressureWaits < 1 {
-		t.Fatalf("ReadBackpressureWaits = %d, want >= 1", m.ReadBackpressureWaits)
+	if waits := s.Counters["iosched.read.backpressure_waits"]; waits < 1 {
+		t.Fatalf("iosched.read.backpressure_waits = %d, want >= 1", waits)
 	}
 }
 
@@ -209,19 +169,9 @@ func TestReadListFailureDegradesNotCrash(t *testing.T) {
 	plan := faults.NewFSPlan(1, faults.FSRule{
 		Op: faults.OpList, PathPrefix: "lf/A_s", Msg: "stale file handle",
 	})
-	reg := metrics.New()
-	sm := restartExpectIncomplete(t, faults.WrapFS(raw, plan), "lf/A", 2, 1, reg, nil)
-	if len(sm) != 1 {
-		t.Fatalf("server metrics %v, want 1 server", sm)
-	}
-	if sm[0].Crashed {
-		t.Fatal("server crashed on a failed listing")
-	}
-	if sm[0].ReadErrors != 1 {
-		t.Fatalf("ReadErrors = %d, want 1 (the failed listing)", sm[0].ReadErrors)
-	}
-	if n := reg.Snapshot().Counters["rocpanda.read.errors"]; n != 1 {
-		t.Fatalf("rocpanda.read.errors = %d, want 1", n)
+	c := restartExpectIncomplete(t, faults.WrapFS(raw, plan), "lf/A", 2, 1, nil, nil)
+	if n := c["rocpanda.read.errors"]; n != 1 {
+		t.Fatalf("rocpanda.read.errors = %d, want 1 (the failed listing)", n)
 	}
 }
 
@@ -318,30 +268,18 @@ func TestRestartWastedBytesAccounting(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			reg := metrics.New()
-			sm := restartExpectIncomplete(t, fs, "wb/A", 2, 1, reg, nil)
-			if len(sm) != 1 {
-				t.Fatalf("server metrics %v, want 1 server", sm)
+			c := restartExpectIncomplete(t, fs, "wb/A", 2, 1, nil, nil)
+			if o, s := c["rocpanda.restart.files_opened"], c["rocpanda.server.files_skipped"]; o != 1 || s != 1 {
+				t.Fatalf("opened %d skipped %d, want 1 and 1", o, s)
 			}
-			m := sm[0]
-			if m.FilesOpened != 1 || m.FilesSkipped != 1 {
-				t.Fatalf("opened %d skipped %d, want 1 and 1", m.FilesOpened, m.FilesSkipped)
+			if n := c["rocpanda.restart.bytes_read"]; n != 0 {
+				t.Fatalf("bytes_read = %d for a file that never shipped, want 0", n)
 			}
-			if m.RestartBytes != 0 {
-				t.Fatalf("RestartBytes = %d for a file that never shipped, want 0", m.RestartBytes)
+			if n := c["rocpanda.restart.bytes_wasted"]; n <= 0 {
+				t.Fatalf("bytes_wasted = %d, want > 0", n)
 			}
-			if m.WastedBytes <= 0 {
-				t.Fatalf("WastedBytes = %d, want > 0", m.WastedBytes)
-			}
-			if m.ReadErrors != 1 {
-				t.Fatalf("ReadErrors = %d, want 1", m.ReadErrors)
-			}
-			s := reg.Snapshot()
-			if n := s.Counters["rocpanda.restart.bytes_read"]; n != 0 {
-				t.Fatalf("bytes_read counter = %d, want 0", n)
-			}
-			if n := s.Counters["rocpanda.restart.bytes_wasted"]; n != m.WastedBytes {
-				t.Fatalf("bytes_wasted counter = %d, want %d", n, m.WastedBytes)
+			if n := c["rocpanda.read.errors"]; n != 1 {
+				t.Fatalf("rocpanda.read.errors = %d, want 1", n)
 			}
 		})
 	}
@@ -369,18 +307,12 @@ func TestReadFaultsDegradeNotCrash(t *testing.T) {
 						cfg.ReadWorkers = 2
 					}
 				}
-				sm := restartExpectIncomplete(t, faults.WrapFS(raw, plan), "of/A", 2, 1, nil, tune)
-				if len(sm) != 1 {
-					t.Fatalf("server metrics %v, want 1 server", sm)
+				c := restartExpectIncomplete(t, faults.WrapFS(raw, plan), "of/A", 2, 1, nil, tune)
+				if n := c["rocpanda.server.files_skipped"]; n < 1 {
+					t.Fatalf("files_skipped = %d, want >= 1", n)
 				}
-				if sm[0].Crashed {
-					t.Fatalf("server crashed on an injected %s failure", op)
-				}
-				if sm[0].FilesSkipped < 1 {
-					t.Fatalf("FilesSkipped = %d, want >= 1", sm[0].FilesSkipped)
-				}
-				if sm[0].ReadErrors < 1 {
-					t.Fatalf("ReadErrors = %d, want >= 1", sm[0].ReadErrors)
+				if n := c["rocpanda.read.errors"]; n < 1 {
+					t.Fatalf("rocpanda.read.errors = %d, want >= 1", n)
 				}
 			})
 		}
@@ -447,5 +379,151 @@ func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
 				t.Fatal("crash plan never fired")
 			}
 		})
+	}
+}
+
+// countingFS counts the snapshot-file operations a restart issues: Opens
+// and ReadAts per .rhdf file, and every Stat.
+type countingFS struct {
+	rt.FS
+	mu    sync.Mutex
+	opens map[string]int
+	reads map[string]int
+	stats int
+}
+
+func (f *countingFS) Open(name string) (rt.File, error) {
+	file, err := f.FS.Open(name)
+	if !strings.HasSuffix(name, ".rhdf") {
+		return file, err
+	}
+	f.mu.Lock()
+	f.opens[name]++
+	f.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: file, fs: f}, nil
+}
+
+func (f *countingFS) Stat(name string) (int64, error) {
+	f.mu.Lock()
+	f.stats++
+	f.mu.Unlock()
+	return f.FS.Stat(name)
+}
+
+type countingFile struct {
+	rt.File
+	fs *countingFS
+}
+
+func (c *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	c.fs.mu.Lock()
+	c.fs.reads[c.Name()]++
+	c.fs.mu.Unlock()
+	return c.File.ReadAt(p, off)
+}
+
+// restartSome restores the wanted panes of file on 2 clients and 1 server
+// over fs, failing unless every one of them arrives.
+func restartSome(t *testing.T, fs rt.FS, file string, wanted map[int]bool) {
+	t.Helper()
+	var mu sync.Mutex
+	restored := 0
+	world := mpi.NewChanWorld(fs, 1)
+	err := world.Run(3, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{NumServers: 1, Profile: hdf.NullProfile(), ActiveBuffering: true})
+		if err != nil {
+			return err
+		}
+		if cl == nil {
+			return nil
+		}
+		mine, err := cl.PanesForRestart(file, "fluid")
+		if err != nil {
+			return err
+		}
+		var some []int
+		for _, id := range mine {
+			if wanted[id] {
+				some = append(some, id)
+			}
+		}
+		w, err := roccom.New().NewWindow("fluid")
+		if err != nil {
+			return err
+		}
+		w.NewAttribute(roccom.AttrSpec{Name: "pressure", Loc: roccom.NodeLoc, Type: hdf.F64, NComp: 1})
+		w.NewAttribute(roccom.AttrSpec{Name: "flags", Loc: roccom.PaneLoc, Type: hdf.I32, NComp: 1})
+		readErr := cl.ReadPanes(file, w, "all", some)
+		mu.Lock()
+		restored += len(w.PaneIDs())
+		mu.Unlock()
+		if err := cl.Shutdown(); err != nil {
+			return err
+		}
+		return readErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != len(wanted) {
+		t.Fatalf("restored %d panes, want %d", restored, len(wanted))
+	}
+}
+
+// TestSerialRestartIssuesSerialFSOps pins the inline read engine to the
+// paper's serial restart: with ParallelRead off, each planned file is
+// opened once and read with one ReadAt per coalesced run — no chunk split —
+// and no file is Stat'ed for a budget cost, not even a directory-scan
+// fallback. The clients restore every other pane, so each file's plan has
+// gaps and several runs.
+func TestSerialRestartIssuesSerialFSOps(t *testing.T) {
+	raw := rt.NewMemFS()
+	writeSnapshot(t, raw, "so/s", 4, 2, 3)
+	cat, err := catalog.Load(raw, "so/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wanted := make(map[int]bool)
+	for i, id := range cat.Panes("fluid") {
+		if i%2 == 0 {
+			wanted[id] = true
+		}
+	}
+	wantReads := make(map[string]int)
+	for _, plan := range cat.PlanReads("fluid", wanted) {
+		wantReads[plan.File] = len(catalog.Coalesce(plan.Entries, 0))
+		if wantReads[plan.File] < 2 {
+			t.Fatalf("%s: plan coalesces to %d run, want gaps", plan.File, wantReads[plan.File])
+		}
+	}
+	if len(wantReads) != 2 {
+		t.Fatalf("planned files %v, want the 2 writers' files", wantReads)
+	}
+
+	fs := &countingFS{FS: raw, opens: make(map[string]int), reads: make(map[string]int)}
+	restartSome(t, fs, "so/s", wanted)
+	for name, runs := range wantReads {
+		if fs.opens[name] != 1 || fs.reads[name] != runs {
+			t.Errorf("%s: %d opens, %d ReadAts; want 1 open and %d (one per coalesced run)", name, fs.opens[name], fs.reads[name], runs)
+		}
+	}
+	if len(fs.opens) != len(wantReads) {
+		t.Errorf("opened %v, want only the planned files %v", fs.opens, wantReads)
+	}
+	if fs.stats != 0 {
+		t.Errorf("indexed serial restart issued %d Stat calls, want 0", fs.stats)
+	}
+
+	// Without the catalog every file is a directory-scan fallback.
+	if err := raw.Remove("so/s" + catalog.Suffix); err != nil {
+		t.Fatal(err)
+	}
+	fs = &countingFS{FS: raw, opens: make(map[string]int), reads: make(map[string]int)}
+	restartSome(t, fs, "so/s", wanted)
+	if fs.stats != 0 {
+		t.Errorf("scan serial restart issued %d Stat calls, want 0", fs.stats)
 	}
 }

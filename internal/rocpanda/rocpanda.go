@@ -18,7 +18,7 @@
 //     drain buffers to scientific-format files while clients compute,
 //     checking for new requests between block writes (non-blocking probe)
 //     and blocking in probe when idle — leaving their CPU to the OS.
-//     If the buffer capacity is exceeded the server drains synchronously
+//     If the buffer budget is exceeded the server drains synchronously
 //     to make room, which delays the acknowledgement (graceful overflow).
 //
 //   - Collective read (restart): every client sends its wanted block list
@@ -66,14 +66,11 @@ type Config struct {
 	// Profile is the scientific-library cost model for server-side file
 	// access (HDF4 in the paper).
 	Profile hdf.CostProfile
-	// ActiveBuffering enables the paper's overlap scheme. When false the
-	// server writes each block to disk before acknowledging
-	// (write-through; the ablation baseline).
+	// ActiveBuffering enables the paper's overlap scheme: the server
+	// buffers blocks, acknowledges, and drains them between probes for new
+	// requests. When false the server writes each block to disk before
+	// acknowledging (write-through; the ablation baseline).
 	ActiveBuffering bool
-	// BufferCapacity bounds the server-side buffer in bytes; 0 means
-	// unlimited. Overflow triggers synchronous partial drains.
-	// Synchronous mode only; with AsyncDrain use BufferBudgetBytes.
-	BufferCapacity int64
 	// AsyncDrain moves the drain off the server's request loop onto a
 	// background writer pool (internal/rocpanda/drain.go): blocks go to
 	// disk while the loop keeps absorbing client writes, which is the
@@ -85,17 +82,20 @@ type Config struct {
 	// Blocks route to writers by destination file, so extra writers help
 	// only when snapshot generations overlap. Clamped to [1, 8]; default 1.
 	DrainWriters int
-	// BufferBudgetBytes bounds the bytes queued to the writer pool
-	// (AsyncDrain only). An enqueue that overruns the budget stalls the
-	// request loop — delaying that client's ack — until the writers catch
-	// up; 0 means unbounded. A budget of one block degenerates to
-	// write-through timing.
+	// BufferBudgetBytes bounds the server's buffered bytes not yet on
+	// disk (ActiveBuffering only): the synchronous drain's buffer, or the
+	// bytes queued to the AsyncDrain writer pool. A block that overruns
+	// the budget stalls the request loop — delaying that client's ack —
+	// until the buffer is back under budget: the synchronous drain writes
+	// the oldest blocks out right there (graceful overflow), the pool
+	// waits for its writers. 0 means unbounded; a budget smaller than one
+	// block degenerates to write-through timing.
 	BufferBudgetBytes int64
 	// ParallelRead moves restart reads off the server's request loop onto
 	// a pool of read workers (internal/rocpanda/read.go): catalog-planned
 	// extents and directory-scan fallbacks are read concurrently, with
 	// disk reads of one file pipelined against the network shipping of
-	// another. Restored panes are bit-identical to the serial path's
+	// another. Restored panes are bit-identical to the serial read's
 	// (clients dedupe on first arrival, and all shipping stays on the
 	// server's request loop in plan order).
 	ParallelRead bool
@@ -151,10 +151,6 @@ type Config struct {
 	// snapshot generations (files and manifests) after each commit. Zero
 	// keeps everything.
 	RetainGenerations int
-	// OnServerDone, if set, receives each server's metrics when it shuts
-	// down (called on the server's goroutine/process). It is also called
-	// when the server dies to an injected crash, with Crashed set.
-	OnServerDone func(ServerMetrics)
 	// Metrics, if set, receives rocpanda.client.* and rocpanda.server.*
 	// counters, gauges and latency histograms from every rank sharing the
 	// registry. A nil registry disables all recording at no cost.
@@ -268,9 +264,6 @@ func Init(ctx mpi.Ctx, cfg Config) (*Client, error) {
 			mx:         newSrvMx(cfg.Metrics),
 		}
 		s.run()
-		if cfg.OnServerDone != nil {
-			cfg.OnServerDone(s.m)
-		}
 		return nil, nil
 	}
 

@@ -3,12 +3,12 @@ package rocpanda
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"genxio/internal/cluster"
 	"genxio/internal/hdf"
 	"genxio/internal/mesh"
+	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
 	"genxio/internal/rt"
@@ -349,21 +349,16 @@ func TestWriteThroughVsActiveBufferingVisibleCost(t *testing.T) {
 }
 
 func TestBufferOverflowDrainsGracefully(t *testing.T) {
-	var srvMetrics []ServerMetrics
-	var mu sync.Mutex
+	reg := metrics.New()
 	fs := rt.NewMemFS()
 	world := mpi.NewChanWorld(fs, 1)
 	err := world.Run(5, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{
-			NumServers:      1,
-			Profile:         hdf.NullProfile(),
-			ActiveBuffering: true,
-			BufferCapacity:  1 << 10, // smaller than one block: every buffering overflows
-			OnServerDone: func(m ServerMetrics) {
-				mu.Lock()
-				srvMetrics = append(srvMetrics, m)
-				mu.Unlock()
-			},
+			NumServers:        1,
+			Profile:           hdf.NullProfile(),
+			ActiveBuffering:   true,
+			BufferBudgetBytes: 1 << 10, // smaller than one block: every buffering overflows
+			Metrics:           reg,
 		})
 		if err != nil {
 			return err
@@ -385,18 +380,15 @@ func TestBufferOverflowDrainsGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(srvMetrics) != 1 {
-		t.Fatalf("server metrics %v", srvMetrics)
-	}
-	m := srvMetrics[0]
-	if m.Overflows == 0 {
+	s := reg.Snapshot()
+	if s.Counters["rocpanda.server.overflow_stalls"] == 0 {
 		t.Fatal("tiny buffer never overflowed")
 	}
-	if m.BlocksWritten != m.BlocksBuffered {
-		t.Fatalf("wrote %d of %d buffered blocks", m.BlocksWritten, m.BlocksBuffered)
+	if w, b := s.Counters["rocpanda.server.blocks_written"], s.Counters["rocpanda.server.blocks_buffered"]; w != b {
+		t.Fatalf("wrote %d of %d buffered blocks", w, b)
 	}
-	if m.MaxBufBytes > 96<<10 {
-		t.Fatalf("buffer grew to %d despite capacity", m.MaxBufBytes)
+	if peak := s.Gauges["rocpanda.server.buf_bytes_peak"]; peak > 96<<10 {
+		t.Fatalf("buffer grew to %.0f despite capacity", peak)
 	}
 	// All three snapshots must be complete, readable files.
 	names := listRHDF(t, fs, "ovf/")

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
+	"genxio/internal/iosched"
 	"genxio/internal/metrics"
 	"genxio/internal/mpi"
 	"genxio/internal/roccom"
@@ -16,45 +16,6 @@ import (
 	"genxio/internal/snapshot"
 	"genxio/internal/trace"
 )
-
-// ServerMetrics accumulates one server's activity.
-type ServerMetrics struct {
-	Idx              int
-	BlocksBuffered   int
-	BlocksWritten    int
-	BytesWritten     int64 // payload bytes drained to files
-	FilesCreated     int
-	MaxBufBytes      int64
-	Overflows        int   // synchronous partial drains due to capacity
-	ReadsServed      int   // restart blocks shipped to clients
-	ClientsAdopted   int   // clients inherited from failed servers (degraded mode)
-	FilesSkipped     int   // unreadable snapshot files skipped during restart scans
-	FilesOpened      int   // snapshot files opened while serving restarts
-	RestartBytes     int64 // payload bytes read from snapshot files during restarts
-	CatalogHits      int   // restart rounds served from the block catalog
-	CatalogFallbacks int   // restart rounds that fell back to the directory scan
-	Crashed          bool  // the server died to an injected crash
-
-	// Background-drain engine (Config.AsyncDrain).
-	DrainQueuePeak    int     // peak blocks queued to the writer pool
-	BackpressureWaits int     // enqueues stalled on BufferBudgetBytes
-	OverlapSeconds    float64 // background write time overlapped with service
-	DrainErrors       int     // block writes or file closes that failed
-
-	// Restart read engine (Config.ParallelRead) and read-path health.
-	ReadQueuePeak         int     // peak read tasks in flight to the worker pool
-	ReadBackpressureWaits int     // tasks deferred by ReadBudgetBytes
-	ReadOverlapSeconds    float64 // disk read time overlapped with shipping
-	ReadErrors            int     // failed listings and files skipped mid-round
-	WastedBytes           int64   // bytes read from files that never shipped
-
-	// Replica retries (Config.ReplicationFactor > 1).
-	ReplicaReads  int // panes served from a replica copy after a primary failed
-	RepairedPanes int // panes recovered from any other copy after a planned read failed
-
-	// Delta snapshots (Config.DeltaSnapshots).
-	ChainDepth int // deepest delta chain served during restart rounds
-}
 
 // serverCrashed is the panic sentinel of an injected server crash; run
 // recovers it and returns without draining or acknowledging anything,
@@ -92,16 +53,11 @@ type server struct {
 	allClients []int
 	cfg        Config
 
-	buf           []pendingBlock // synchronous-mode buffer (AsyncDrain off)
-	bufBytes      int64
-	sink          *blockSink            // the request loop's own file sink
-	engine        *drainEngine          // background writer pool (AsyncDrain)
-	drainErr      error                 // sticky first drain failure
+	drain         *iosched.Engine       // the one drain path (drain.go)
 	reads         map[string]*readRound // key: file|window|attr
 	shutdown      int
 	shutdownQueue []int // clients awaiting the shutdown ack
 
-	m  ServerMetrics
 	mx srvMx
 }
 
@@ -120,19 +76,8 @@ type srvMx struct {
 	bufBytesPeak   *metrics.Gauge
 	drainSeconds   *metrics.Histogram
 	scanSeconds    *metrics.Histogram
-
-	// Background-drain engine (Config.AsyncDrain).
-	queueDepth     *metrics.Gauge
-	backpressure   *metrics.Counter
-	overlapSeconds *metrics.Histogram
-	drainErrors    *metrics.Counter
-	flushSeconds   *metrics.Histogram
-
-	// Restart read engine (Config.ParallelRead) and read-path health.
-	readQueueDepth   *metrics.Gauge
-	readBackpressure *metrics.Counter
-	readOverlap      *metrics.Histogram
-	readErrors       *metrics.Counter
+	flushSeconds   *metrics.Histogram // restart barrier time (serveRead)
+	readErrors     *metrics.Counter   // failed listings and skipped files
 
 	// Restart I/O-efficiency counters (catalog vs scan).
 	filesOpened      *metrics.Counter
@@ -163,17 +108,8 @@ func newSrvMx(r *metrics.Registry) srvMx {
 		bufBytesPeak:   r.Gauge("rocpanda.server.buf_bytes_peak"),
 		drainSeconds:   r.Histogram("rocpanda.server.drain_seconds", nil),
 		scanSeconds:    r.Histogram("rocpanda.server.restart_scan_seconds", nil),
-
-		queueDepth:     r.Gauge("rocpanda.drain.queue_depth"),
-		backpressure:   r.Counter("rocpanda.drain.backpressure_waits"),
-		overlapSeconds: r.Histogram("rocpanda.drain.overlap_seconds", nil),
-		drainErrors:    r.Counter("rocpanda.drain.errors"),
 		flushSeconds:   r.Histogram("rocpanda.drain.flush_seconds", nil),
-
-		readQueueDepth:   r.Gauge("rocpanda.read.queue_depth"),
-		readBackpressure: r.Counter("rocpanda.read.backpressure_waits"),
-		readOverlap:      r.Histogram("rocpanda.read.overlap_seconds", nil),
-		readErrors:       r.Counter("rocpanda.read.errors"),
+		readErrors:     r.Counter("rocpanda.read.errors"),
 
 		filesOpened:      r.Counter("rocpanda.restart.files_opened"),
 		restartBytes:     r.Counter("rocpanda.restart.bytes_read"),
@@ -192,7 +128,9 @@ func newSrvMx(r *metrics.Registry) srvMx {
 // run is the server service loop, structured exactly as Section 6.1
 // describes: with dirty buffers it polls for new requests between block
 // writes (responsiveness); with clean buffers it blocks in probe, leaving
-// the CPU to the operating system.
+// the CPU to the operating system. The drain engine decides what "dirty"
+// means: its inline mode holds the buffered blocks for the loop to Step,
+// while the writer pool (AsyncDrain) and write-through never leave any.
 func (s *server) run() {
 	// An injected crash (internal/faults) panics with serverCrashed from
 	// deep inside the loop; catching it here and returning — no drain, no
@@ -200,33 +138,26 @@ func (s *server) run() {
 	// models the process dying.
 	defer func() {
 		r := recover()
-		// Tear the writer pool down on every exit path: it merges the
-		// writers' tallies into s.m before OnServerDone reads them, and
-		// terminates the pool's simulation processes.
-		if s.engine != nil {
-			s.engine.close()
-		}
+		// Tear the drain engine down on every exit path: it terminates the
+		// writer pool's simulation processes.
+		s.drain.Close()
 		if r != nil {
 			if _, died := r.(serverCrashed); !died {
 				panic(r)
 			}
 		}
 	}()
-	s.sink = newBlockSink(s, s.ctx.Clock(), s.ctx.FS(), &s.m)
 	s.reads = make(map[string]*readRound)
-	s.m.Idx = s.idx
-	if s.cfg.ActiveBuffering && s.cfg.AsyncDrain {
-		s.engine = newDrainEngine(s)
-	}
+	s.drain = newDrainEngine(s)
 	for s.shutdown < len(s.myClients) {
-		if s.engine != nil && s.engine.crashed() {
-			panic(serverCrashed{}) // a writer task died; the process dies with it
+		if s.drain.Crashed() {
+			panic(serverCrashed{}) // a drain task died; the process dies with it
 		}
-		if len(s.buf) > 0 {
+		if s.drain.Pending() > 0 {
 			if st, ok := s.world.Iprobe(mpi.AnySource, mpi.AnyTag); ok {
 				s.handle(st)
 			} else {
-				s.drainOne()
+				s.drain.Step()
 			}
 			continue
 		}
@@ -238,37 +169,6 @@ func (s *server) run() {
 	for _, dst := range s.shutdownQueue {
 		s.world.Send(dst, tagShutdownAck, ackPayload(err))
 	}
-}
-
-// flushOutput forces every buffered or queued block to disk and closes the
-// snapshot files, returning the server's sticky drain error (nil when all
-// output landed). Both drain modes converge here: it is the
-// barrier-before-commit that sync, restart scans and shutdown rely on.
-func (s *server) flushOutput() error {
-	if s.engine != nil {
-		if err := s.engine.flushBarrier(); err != nil && s.drainErr == nil {
-			s.drainErr = err
-		}
-		return s.drainErr
-	}
-	for len(s.buf) > 0 {
-		s.drainOne()
-	}
-	if err := s.sink.closeAll(""); err != nil {
-		s.noteDrainErr(err)
-	}
-	return s.drainErr
-}
-
-// noteDrainErr records a failed block write or file close. The first error
-// sticks: it is reported on every subsequent sync/shutdown ack, so no
-// generation after the failure can commit.
-func (s *server) noteDrainErr(err error) {
-	if s.drainErr == nil {
-		s.drainErr = err
-	}
-	s.m.DrainErrors++
-	s.mx.drainErrors.Inc()
 }
 
 // ackPayload encodes a drain outcome for a sync or shutdown ack.
@@ -306,7 +206,6 @@ func (s *server) handle(st mpi.Status) {
 			}
 		}
 		s.myClients = append(s.myClients, st.Source)
-		s.m.ClientsAdopted++
 		s.mx.adopted.Inc()
 	default:
 		panic(fmt.Sprintf("rocpanda: server %d got unexpected tag %d from %d", s.idx, st.Tag, st.Source))
@@ -339,7 +238,6 @@ func (s *server) recvEmpty(src, tag int, what string) {
 // handleWrite receives one client's header and blocks for a collective
 // write and buffers (or writes through) the blocks.
 func (s *server) handleWrite(src int) {
-	hwT0 := s.ctx.Clock().Now()
 	data := s.recvExpect(src, tagWriteHdr, "write header")
 	hdr, err := decodeWriteHdr(data)
 	if err != nil {
@@ -354,59 +252,26 @@ func (s *server) handleWrite(src int) {
 				s.idx, i+1, hdr.NBlocks, src, tagWriteBlock, len(payload), err))
 		}
 		// One pending block per copy: the primary plus any replicas, all
-		// through the same sink/engine machinery, so the buffered-byte and
+		// through the same drain engine, so the buffered-byte and
 		// written-byte tallies honestly show the write amplification.
 		for _, fname := range fnames {
 			blk := pendingBlock{fname: fname, sets: sets, bytes: int64(len(payload)), time: hdr.Time, step: hdr.Step}
 			if !s.cfg.ActiveBuffering {
-				if err := s.sink.write(blk); err != nil {
-					s.noteDrainErr(err)
-				}
+				s.enqueue(blk) // write-through: on disk before the ack
 				continue
 			}
 			// Buffer at memory speed; the client's ack is delayed only by
-			// this copy, not by file I/O.
+			// this copy (and by a buffer over budget), not by file I/O.
 			if s.cfg.MemcpyBW > 0 {
 				s.ctx.Clock().Compute(float64(blk.bytes) / s.cfg.MemcpyBW)
 			}
-			s.m.BlocksBuffered++
 			s.mx.blocksBuffered.Inc()
-			if s.engine != nil {
-				// Background drain: hand the block to the writer pool (which
-				// may stall here on the byte budget) and keep serving.
-				s.engine.enqueue(blk)
-				s.maybeCrash(faults.MidBuffer)
-				continue
-			}
-			s.buf = append(s.buf, blk)
-			s.bufBytes += blk.bytes
+			s.enqueue(blk)
 			s.maybeCrash(faults.MidBuffer)
-			if s.bufBytes > s.m.MaxBufBytes {
-				s.m.MaxBufBytes = s.bufBytes
-			}
-			s.mx.bufBytesPeak.SetMax(float64(s.bufBytes))
-			// Graceful overflow: make room synchronously.
-			for s.cfg.BufferCapacity > 0 && s.bufBytes > s.cfg.BufferCapacity && len(s.buf) > 0 {
-				s.m.Overflows++
-				s.mx.overflowStalls.Inc()
-				s.drainOne()
-			}
 		}
 	}
 	s.world.Send(src, tagWriteAck, nil)
-	if debugWrites.Load() {
-		fmt.Printf("DEBUG srv%d handleWrite src=%d t=%.3f..%.3f\n", s.idx, src, hwT0, s.ctx.Clock().Now())
-	}
 }
-
-// debugWrites enables handleWrite tracing. Atomic: servers and clients
-// read it from their own goroutines on the real backend, and tests may
-// toggle it while a run is in flight.
-var debugWrites atomic.Bool
-
-// DebugWrites toggles write-path tracing (diagnostics only). Safe to call
-// concurrently with a running service.
-func DebugWrites(on bool) { debugWrites.Store(on) }
 
 // fileName returns this server's file for a snapshot base name.
 func (s *server) fileName(base string) string {
@@ -433,48 +298,26 @@ func (s *server) copyNames(base string) []string {
 // maybeCrash dies at point if the injected crash plan says so.
 func (s *server) maybeCrash(point faults.CrashPoint) {
 	if s.cfg.Crash.Hit(s.idx, point) {
-		s.m.Crashed = true
 		panic(serverCrashed{})
 	}
 }
 
-// drainOne writes the oldest buffered block to its file, recording the
-// block's drain latency (the background cost active buffering hides).
-// Synchronous mode only; the writer pool drains its own queues.
-func (s *server) drainOne() {
-	blk := s.buf[0]
-	s.buf = s.buf[1:]
-	s.bufBytes -= blk.bytes
-	t0 := s.ctx.Clock().Now()
-	err := s.sink.write(blk)
-	s.mx.drainSeconds.Observe(s.ctx.Clock().Now() - t0)
-	if err != nil {
-		// Keep draining the rest: other files may still complete, and the
-		// sticky error already blocks every later commit.
-		s.noteDrainErr(err)
-	}
-	s.maybeCrash(faults.MidDrain)
-}
-
 // blockSink owns a set of open snapshot writers and appends blocks to
-// them. The request loop uses one directly in synchronous mode; with
-// AsyncDrain each writer task owns a private sink (its own clock identity
-// and filesystem view, required by the simulated platforms). Tallies land
-// in m — the server's own ServerMetrics for the loop's sink, writer-local
-// totals merged at exit for the pool's sinks — so sinks never share
-// mutable state.
+// them. Every drain state owns a private sink with its own clock identity
+// and filesystem view (required by the simulated platforms): the server's
+// own in the inline drain, each writer's in the pool. Sinks share no
+// mutable state; their tallies go to the registry.
 type blockSink struct {
 	s        *server
 	clock    rt.Clock
 	fs       rt.FS
-	m        *ServerMetrics
 	writers  map[string]*hdf.Writer
 	metaDone map[string]bool
 }
 
-func newBlockSink(s *server, clock rt.Clock, fs rt.FS, m *ServerMetrics) *blockSink {
+func newBlockSink(s *server, clock rt.Clock, fs rt.FS) *blockSink {
 	return &blockSink{
-		s: s, clock: clock, fs: fs, m: m,
+		s: s, clock: clock, fs: fs,
 		writers:  make(map[string]*hdf.Writer),
 		metaDone: make(map[string]bool),
 	}
@@ -508,7 +351,6 @@ func (k *blockSink) write(blk pendingBlock) error {
 			return fmt.Errorf("rocpanda: server %d: %w", s.idx, err)
 		}
 		if !k.metaDone[blk.fname] {
-			k.m.FilesCreated++
 			s.mx.filesCreated.Inc()
 		}
 		w.Compress = s.cfg.Compress
@@ -533,8 +375,6 @@ func (k *blockSink) write(blk pendingBlock) error {
 			return fmt.Errorf("rocpanda: server %d writing %s: %w", s.idx, blk.fname, err)
 		}
 	}
-	k.m.BlocksWritten++
-	k.m.BytesWritten += blk.bytes
 	s.mx.blocksWritten.Inc()
 	s.mx.bytesWritten.Add(blk.bytes)
 	return nil
@@ -772,26 +612,11 @@ func (s *server) serveShare(file, window string, round *readRound, alive []int, 
 	}
 	// Files that failed an open this round: a pane retry never re-reads
 	// them, so one lost file costs one failed open, not one per pane.
-	badFiles := make(map[string]bool)
-	if s.cfg.ParallelRead && len(items) > 0 {
-		s.runReadPool(window, round, items, ccat, badFiles)
-	} else {
-		for _, it := range items {
-			if it.scan {
-				s.scanFile(it.name, window, round)
-			} else if !s.shipPlan(it.name, round, it.plan) {
-				badFiles[it.name] = true
-				s.recoverPanes(ccat, window, round, it.plan, badFiles)
-			}
-			s.maybeCrash(faults.MidRead)
-		}
-	}
+	s.runReadPool(window, round, items, ccat)
 	if catErr == nil {
-		s.m.CatalogHits++
 		s.mx.catalogHits.Inc()
 		return doneModeIndexed
 	}
-	s.m.CatalogFallbacks++
 	s.mx.catalogFallbacks.Inc()
 	return doneModeScan
 }
@@ -817,10 +642,7 @@ func (s *server) serveChainShare(file, window string, round *readRound, alive []
 		s.noteReadErr()
 		return doneModeFailed
 	}
-	if depth := len(chain) - 1; depth > s.m.ChainDepth {
-		s.m.ChainDepth = depth
-		s.mx.chainDepth.SetMax(float64(depth))
-	}
+	s.mx.chainDepth.SetMax(float64(len(chain) - 1))
 	wanted := make(map[int]bool, len(round.wantAll))
 	for id := range round.wantAll {
 		wanted[id] = true
@@ -837,19 +659,7 @@ func (s *server) serveChainShare(file, window string, round *readRound, alive []
 			j++
 		}
 	}
-	badFiles := make(map[string]bool)
-	if s.cfg.ParallelRead && len(items) > 0 {
-		s.runReadPool(window, round, items, nil, badFiles)
-	} else {
-		for _, it := range items {
-			if !s.shipPlan(it.name, round, it.plan) {
-				badFiles[it.name] = true
-				s.recoverPanes(it.cat, window, round, it.plan, badFiles)
-			}
-			s.maybeCrash(faults.MidRead)
-		}
-	}
-	s.m.CatalogHits++
+	s.runReadPool(window, round, items, nil)
 	s.mx.catalogHits.Inc()
 	return doneModeIndexed
 }
@@ -867,7 +677,6 @@ type paneShip struct {
 func (s *server) sendShips(ships []paneShip) {
 	for _, sh := range ships {
 		s.world.Send(sh.owner, tagReadBlock, roccom.EncodeIOSets(sh.sets))
-		s.m.ReadsServed++
 		s.mx.readsServed.Inc()
 	}
 }
@@ -876,29 +685,22 @@ func (s *server) sendShips(ships []paneShip) {
 // a restart, with whatever was already read from it accounted as wasted —
 // bytes_read counts only files that shipped.
 func (s *server) skipFile(wasted int64) {
-	s.m.FilesSkipped++
 	s.mx.filesSkipped.Inc()
 	s.noteReadErr()
 	if wasted > 0 {
-		s.m.WastedBytes += wasted
 		s.mx.bytesWasted.Add(wasted)
 	}
 }
 
 // noteReadErr counts one read-path failure (a failed listing, or a file
 // skipped mid-round).
-func (s *server) noteReadErr() {
-	s.m.ReadErrors++
-	s.mx.readErrors.Inc()
-}
+func (s *server) noteReadErr() { s.mx.readErrors.Inc() }
 
 // noteRestartBytes accounts payload bytes of a file whose panes shipped.
 func (s *server) noteRestartBytes(n int64) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		s.mx.restartBytes.Add(n)
 	}
-	s.m.RestartBytes += n
-	s.mx.restartBytes.Add(n)
 }
 
 // assembleShips verifies one planned file's read buffers and groups its
@@ -961,50 +763,6 @@ func assembleShips(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, rou
 	return ships, false, true
 }
 
-// shipPlan serves one file's planned extents with direct offset reads: no
-// directory parse, no per-dataset lookup cost — the catalog already knows
-// where everything is. Adjacent extents coalesce into single reads. On any
-// damage (CRC mismatch, short read, bad inflate) the whole file is skipped
-// before anything ships, and the discarded bytes are accounted as wasted,
-// not read; it returns false so the caller can retry the file's panes
-// against their other copies.
-func (s *server) shipPlan(name string, round *readRound, plan catalog.FilePlan) bool {
-	readT0 := s.ctx.Clock().Now()
-	f, err := s.ctx.FS().Open(name)
-	if err != nil {
-		s.skipFile(0)
-		return false
-	}
-	defer f.Close()
-	s.m.FilesOpened++
-	s.mx.filesOpened.Inc()
-
-	runs := catalog.Coalesce(plan.Entries, 0)
-	bufs := make([][]byte, len(runs))
-	var read int64
-	for i, run := range runs {
-		bufs[i] = make([]byte, run.Length)
-		if _, err := f.ReadAt(bufs[i], run.Offset); err != nil {
-			s.skipFile(read)
-			return false
-		}
-		read += run.Length
-	}
-	s.cfg.Trace.Record(s.traceRank(), trace.PhaseRead, readT0, s.ctx.Clock().Now())
-
-	ships, crcFailed, ok := assembleShips(plan, runs, bufs, round)
-	if crcFailed {
-		s.mx.checksumFails.Inc()
-	}
-	if !ok {
-		s.skipFile(read)
-		return false
-	}
-	s.noteRestartBytes(read)
-	s.sendShips(ships)
-	return true
-}
-
 // recoverPanes retries every pane of a failed planned file against the
 // generation's other copies, best-first (primaries before replicas, per
 // catalog.PaneSources), shipping each pane from the first copy that
@@ -1040,10 +798,8 @@ func (s *server) recoverPanes(cat *catalog.Catalog, window string, round *readRo
 			}
 			if ok {
 				recovered++
-				s.m.RepairedPanes++
 				s.mx.repairedPanes.Inc()
 				if catalog.ReplicaRank(src.File) > 0 {
-					s.m.ReplicaReads++
 					s.mx.replicaReads.Inc()
 				}
 				break
@@ -1066,7 +822,6 @@ func (s *server) tryPaneSource(plan catalog.FilePlan, round *readRound) (ok, ope
 		return false, false
 	}
 	defer f.Close()
-	s.m.FilesOpened++
 	s.mx.filesOpened.Inc()
 
 	runs := catalog.Coalesce(plan.Entries, 0)
@@ -1097,9 +852,9 @@ func (s *server) tryPaneSource(plan catalog.FilePlan, round *readRound) (ok, ope
 
 // collectScanFile walks one snapshot file and assembles the requested
 // panes of the window into ship-ready payloads, without sending anything.
-// Shared by the serial scan path and the read workers, which run it with
-// their own clock and filesystem view so the profile's per-dataset lookup
-// costs charge to the walking process. bytesRead counts payload bytes
+// Run by the read engine's scan tasks with the clock and filesystem view
+// of whoever runs them (the server inline, a worker in the pool), so the
+// profile's per-dataset lookup costs charge to the walking process. bytesRead counts payload bytes
 // pulled from the file whether or not the walk succeeded; failed means the
 // whole file must be skipped (unopenable — what a crashed server leaves
 // behind — or damaged mid-walk), with nothing shipped from it.
@@ -1151,21 +906,4 @@ func collectScanFile(fsys rt.FS, clock rt.Clock, profile hdf.CostProfile, reg *m
 		ships = append(ships, *panes[id])
 	}
 	return ships, bytesRead, true, false
-}
-
-// scanFile serves one directory-scan fallback file on the request loop.
-func (s *server) scanFile(name, window string, round *readRound) {
-	readT0 := s.ctx.Clock().Now()
-	ships, read, opened, failed := collectScanFile(s.ctx.FS(), s.ctx.Clock(), s.cfg.Profile, s.cfg.Metrics, name, window, round)
-	s.cfg.Trace.Record(s.traceRank(), trace.PhaseRead, readT0, s.ctx.Clock().Now())
-	if opened {
-		s.m.FilesOpened++
-		s.mx.filesOpened.Inc()
-	}
-	if failed {
-		s.skipFile(read)
-		return
-	}
-	s.noteRestartBytes(read)
-	s.sendShips(ships)
 }
