@@ -138,7 +138,7 @@ func main() {
 			s.Counters["rocpanda.restart.generations_scanned"]/nc,
 			s.Counters["rocpanda.restart.fallbacks"]/nc,
 			s.Counters["hdf.checksum_failures"])
-		fmt.Printf("  catalog: %d indexed, %d scan fallbacks, %d files opened, %.1f MB read\n",
+		fmt.Printf("  catalog: %d loaded, %d rebuilt, %d files opened, %.1f MB read\n",
 			s.Counters["rocpanda.restart.catalog_hits"],
 			s.Counters["rocpanda.restart.catalog_fallbacks"],
 			s.Counters["rocpanda.restart.files_opened"],
@@ -151,7 +151,7 @@ func main() {
 		if *pread {
 			fmt.Printf("  read pool: queue peak %.0f, %d backpressure waits, %d errors, %.1f MB wasted\n",
 				s.Gauges["iosched.read.queue_depth"],
-				s.Counters["iosched.read.backpressure_waits"]+s.Counters["iosched.scan.backpressure_waits"],
+				s.Counters["iosched.read.backpressure_waits"],
 				s.Counters["rocpanda.read.errors"],
 				float64(s.Counters["rocpanda.restart.bytes_wasted"])/1e6)
 		}

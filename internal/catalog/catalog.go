@@ -10,11 +10,11 @@
 //
 // At restart, servers consult the catalog to open only the files that
 // contain requested panes and issue direct offset reads, verified per entry
-// against the recorded CRC; this replaces the O(total snapshot bytes) scan
-// in the common case. Generations without a catalog, or with one that fails
-// its checksum, fall back to the scan path. The catalog also carries the
-// generation's pane universe, which the deterministic repartitioner divides
-// among restart ranks — allowing a restart topology (client and server
+// against the recorded CRC, instead of walking every snapshot byte.
+// Generations without a catalog, or with one that fails its checksum, get
+// one rebuilt from the files' directories by the same AddFile walk the
+// commit runs. The catalog also carries the generation's pane universe,
+// which the deterministic repartitioner divides among restart ranks — allowing a restart topology (client and server
 // counts) different from the writing run, per the paper's framing of
 // restart as decoupled from the writing decomposition.
 package catalog
@@ -268,8 +268,8 @@ func Write(fsys rt.FS, base string, c *Catalog) (size int64, crc uint32, err err
 
 // Load reads and decodes a generation's catalog. Any failure — missing
 // file, bad magic, checksum mismatch, malformed body — is an error the
-// caller treats as "no usable catalog": restart falls back to the scan
-// path rather than abandoning the generation.
+// caller treats as "no usable catalog": restart rebuilds one from the
+// files' directories rather than abandoning the generation.
 func Load(fsys rt.FS, base string) (*Catalog, error) {
 	f, err := fsys.Open(base + Suffix)
 	if err != nil {
@@ -349,9 +349,8 @@ type FilePlan struct {
 // window. When a pane appears in more than one file (failover re-ships
 // blocks to an adopting server, or replication writes extra copies), only
 // one copy is planned: a primary over any replica, and among files of the
-// same replica rank the earliest-indexed one, mirroring the scan path's
-// first-arrival dedup. Plans come back in file-index order with entries
-// sorted by offset.
+// same replica rank the earliest-indexed one, so a pane is read once.
+// Plans come back in file-index order with entries sorted by offset.
 func (c *Catalog) PlanReads(window string, wanted map[int]bool) []FilePlan {
 	fileOf := make(map[int]int) // pane → preferred file index holding it
 	for i := range c.Entries {

@@ -40,13 +40,15 @@ import (
 // together, both served by the unified internal/iosched scheduler) and
 // the scheduler's per-class metrics — iosched.<class>.{queue_depth,
 // backpressure_waits, overlap_seconds, errors, busy_seconds, tasks} for
-// the write/read/scan classes — on every entry that exercises an engine.
+// the write and read classes — on every entry that exercises an engine.
 // Still v8: the alias names rocpanda.drain.{queue_depth,
 // backpressure_waits, overlap_seconds, errors} and rocpanda.read.{
 // queue_depth, backpressure_waits, overlap_seconds} were retired in favor
 // of the iosched.* series of the same events (no gated field changed),
 // and every Rocpanda entry now reports iosched.* because the paper's
-// synchronous drain and serial restart run as inline iosched engines.
+// synchronous drain and serial restart run as inline iosched engines;
+// the iosched.scan.* series went with the directory-scan restart read
+// (no entry ever ran a scan task).
 const BenchSchema = "genxio-bench/v8"
 
 // BenchOpts configures the observability bench: one small integrated run
@@ -144,7 +146,7 @@ func RunBench(opts BenchOpts) (*BenchResult, error) {
 		// read) drops at bit-identical restored state.
 		{"rocpanda-pread", rocman.IORocpanda, false, true, 0, false},
 		// Both engines at once, behind the unified iosched scheduler: a
-		// write-class drain instance and read/scan-class restart instances
+		// write-class drain instance and read-class restart instances
 		// share the scheduler core (per-instance budgets), exercising the
 		// iosched.<class>.* metric surface in one run.
 		{"rocpanda-sched", rocman.IORocpanda, true, true, 0, false},
@@ -270,10 +272,10 @@ func (r *BenchResult) Format() string {
 		case "rocpanda-sched":
 			wov := s.Histograms["iosched.write.overlap_seconds"]
 			rov := s.Histograms["iosched.read.overlap_seconds"]
-			fmt.Fprintf(&b, "%-10s unified scheduler: %d write tasks (%.3fs overlapped), %d read + %d scan tasks (%.3fs overlapped), %d waits\n",
+			fmt.Fprintf(&b, "%-10s unified scheduler: %d write tasks (%.3fs overlapped), %d read tasks (%.3fs overlapped), %d waits\n",
 				io.IO, s.Counters["iosched.write.tasks"], wov.Sum,
-				s.Counters["iosched.read.tasks"], s.Counters["iosched.scan.tasks"], rov.Sum,
-				s.Counters["iosched.write.backpressure_waits"]+s.Counters["iosched.read.backpressure_waits"]+s.Counters["iosched.scan.backpressure_waits"])
+				s.Counters["iosched.read.tasks"], rov.Sum,
+				s.Counters["iosched.write.backpressure_waits"]+s.Counters["iosched.read.backpressure_waits"])
 		case "rocpanda-pread":
 			ov := s.Histograms["iosched.read.overlap_seconds"]
 			fmt.Fprintf(&b, "%-10s restart read pool: queue peak %.0f tasks, %.3fs disk time overlapped with shipping, %d backpressure waits, %d errors, %.1f MB read\n",

@@ -292,8 +292,8 @@ func ScanDir(fsys rt.FS, name string) (size int64, dirCRC uint32, sets []*Datase
 }
 
 // DirEntries returns a committed RHDF file's dataset descriptors without
-// reading payload bytes — the scan-side building block for discovering which
-// panes a file holds when no catalog is available.
+// reading payload bytes — how fsck and the pane-universe walk discover
+// which panes a file holds without consulting the block catalog.
 func DirEntries(fsys rt.FS, name string) ([]*Dataset, error) {
 	_, _, sets, err := ScanDir(fsys, name)
 	return sets, err

@@ -12,12 +12,12 @@
 //     submitter calls Step, when the Writeback budget holds a Submit, or
 //     at Flush. That is the paper's synchronous drain between
 //     non-blocking probes and its serial restart read, as policies of the
-//     same engine the background pools use — tallies, metrics, sticky
-//     errors, fatal results and the overlap rule are shared code.
+//     same engine the background pools use — metrics, sticky errors, fatal
+//     results and the overlap rule are shared code.
 //
-//   - Typed tasks. A Task carries a Class (write-block, read-extent,
-//     scan-file), a routing Key, a byte Cost, and a Run closure executed on
-//     a worker with that worker's own clock identity and filesystem view.
+//   - Typed tasks. A Task carries a Class (write-block, read-extent), a
+//     routing Key, a byte Cost, and a Run closure executed on a worker
+//     with that worker's own clock identity and filesystem view.
 //
 //   - Keyed ordering. Tasks with the same non-empty Key execute on one
 //     worker in submission order (FNV-32a of the key over the pool width) —
@@ -68,8 +68,6 @@ const (
 	ClassWrite Class = iota
 	// ClassRead is a planned extent read (catalog-indexed restart).
 	ClassRead
-	// ClassScan is a whole-file directory-scan fallback read.
-	ClassScan
 	numClasses
 )
 
@@ -80,8 +78,6 @@ func (c Class) String() string {
 		return "write"
 	case ClassRead:
 		return "read"
-	case ClassScan:
-		return "scan"
 	}
 	return "unknown"
 }
@@ -141,15 +137,6 @@ type noState struct{}
 
 func (noState) Flush() error { return nil }
 func (noState) Close() error { return nil }
-
-// ClassTally is one class's accumulated background totals, merged from the
-// workers at exit (plus externally-noted overlap).
-type ClassTally struct {
-	Done    int64   // tasks completed
-	Errors  int64   // failed tasks and failed flush-closes
-	Busy    float64 // seconds spent inside Run
-	Overlap float64 // Busy seconds outside any Flush barrier
-}
 
 // Config configures an Engine.
 type Config struct {
@@ -224,10 +211,7 @@ type traceRecorder interface {
 // control-queue message types (besides Completion).
 type flushToken struct{}
 type flushAck struct{ err error }
-type workerExit struct {
-	tally   [numClasses]ClassTally
-	crashed bool
-}
+type workerExit struct{}
 
 // classMx holds one class's unified metric handles (nil-safe no-ops
 // without a registry).
@@ -263,8 +247,6 @@ type Engine struct {
 	lastStalled int // RunBatch: index of the last wait-counted task
 	exited      int
 	closed      bool
-	tally       [numClasses]ClassTally // merged worker tallies (after exits)
-	ext         [numClasses]float64    // externally-noted overlap seconds
 	mx          [numClasses]classMx
 
 	// Inline engine only: the submitter's context and state, the local
@@ -353,18 +335,9 @@ func (e *Engine) Pending() int { return len(e.fifo) }
 // Crashed reports whether a worker died to an injected crash.
 func (e *Engine) Crashed() bool { return e.crashed.Load() }
 
-// Tally returns a class's merged totals. Complete only after Close (or,
-// for externally-noted overlap, after the rounds that note it).
-func (e *Engine) Tally(c Class) ClassTally {
-	t := e.tally[c]
-	t.Overlap += e.ext[c]
-	return t
-}
-
 // NoteOverlap records class overlap decided by the adapter (only
 // meaningful with Config.OverlapExternal). Submitter goroutine.
 func (e *Engine) NoteOverlap(c Class, seconds float64) {
-	e.ext[c] += seconds
 	e.mx[c].overlap.Observe(seconds)
 }
 
@@ -396,7 +369,7 @@ func (e *Engine) reapReady() {
 		case Completion:
 			e.noteCompletion(msg)
 		case workerExit:
-			e.noteExit(msg)
+			e.exited++
 		}
 	}
 }
@@ -444,7 +417,7 @@ func (e *Engine) Submit(t *Task) SubmitInfo {
 		case Completion:
 			e.noteCompletion(msg)
 		case workerExit:
-			e.noteExit(msg)
+			e.exited++
 		}
 	}
 	return info
@@ -466,7 +439,7 @@ func (e *Engine) Step() bool {
 
 // runInline runs one task on the submitter with the worker accounting.
 func (e *Engine) runInline(t *Task) Completion {
-	c := e.exec(e.tc, e.st, t, &e.tally, &e.sticky)
+	c := e.exec(e.tc, e.st, t, &e.sticky)
 	e.noteCompletion(c)
 	if c.Result.Fatal {
 		e.crashed.Store(true)
@@ -492,7 +465,7 @@ func (e *Engine) Flush() error {
 		if e.crashed.Load() {
 			return nil
 		}
-		e.flushState(e.st, &e.tally, &e.sticky)
+		e.flushState(e.st, &e.sticky)
 		return e.sticky
 	}
 	for _, q := range e.jobs {
@@ -515,7 +488,7 @@ func (e *Engine) Flush() error {
 		case workerExit:
 			// A worker can only exit mid-run by crashing; the barrier
 			// cannot complete.
-			e.noteExit(msg)
+			e.exited++
 			return err
 		}
 	}
@@ -573,16 +546,16 @@ func (e *Engine) RunBatch(tasks []*Task, onDone func(Completion)) {
 		case workerExit:
 			// Mid-batch exits are crashes (queues close only after the
 			// batch); the round cannot complete.
-			e.noteExit(msg)
+			e.exited++
 			return
 		}
 	}
 }
 
 // Close tears the pool down: closes the job queues, drains the control
-// queue until every worker has exited (merging their tallies), and closes
-// the control queue — so simulation worker processes always terminate and
-// no stale message leaks into a later pool. An inline engine cancels what
+// queue until every worker has exited, and closes the control queue — so
+// simulation worker processes always terminate and no stale message leaks
+// into a later pool. An inline engine cancels what
 // its FIFO still holds (a crashed server's buffered blocks) and closes its
 // state as a worker would. Idempotent; submitter goroutine.
 func (e *Engine) Close() {
@@ -616,7 +589,7 @@ func (e *Engine) Close() {
 		case Completion:
 			e.noteCompletion(msg)
 		case workerExit:
-			e.noteExit(msg)
+			e.exited++
 		}
 		// Stale flush acks from a barrier a crash interrupted are dropped.
 	}
@@ -651,16 +624,6 @@ func (e *Engine) noteCompletion(c Completion) {
 	e.classDepth[c.Task.Class]--
 }
 
-func (e *Engine) noteExit(msg workerExit) {
-	e.exited++
-	for c := range msg.tally {
-		e.tally[c].Done += msg.tally[c].Done
-		e.tally[c].Errors += msg.tally[c].Errors
-		e.tally[c].Busy += msg.tally[c].Busy
-		e.tally[c].Overlap += msg.tally[c].Overlap
-	}
-}
-
 // newState builds one worker's private state (the inline engine's one).
 func (e *Engine) newState(wi int, tc rt.TaskCtx) WorkerState {
 	if e.cfg.NewState != nil {
@@ -670,17 +633,15 @@ func (e *Engine) newState(wi int, tc rt.TaskCtx) WorkerState {
 }
 
 // exec runs one task where it executes — a worker, or the submitter of an
-// inline engine — with the accounting both share: tally, the unified
-// metrics, the sticky error, the overlap rule, the trace span and the
-// OnWorkerDone hook.
-func (e *Engine) exec(tc rt.TaskCtx, st WorkerState, t *Task, tally *[numClasses]ClassTally, sticky *error) Completion {
+// inline engine — with the accounting both share: the unified metrics, the
+// sticky error, the overlap rule, the trace span and the OnWorkerDone
+// hook.
+func (e *Engine) exec(tc rt.TaskCtx, st WorkerState, t *Task, sticky *error) Completion {
 	t0 := tc.Clock().Now()
 	res := t.Run(tc, st) // a FatalPanic in here unwinds to the caller
 	t1 := tc.Clock().Now()
 	c := Completion{Task: t, Result: res, T0: t0, T1: t1}
 	cl := t.Class
-	tally[cl].Done++
-	tally[cl].Busy += t1 - t0
 	e.mx[cl].busy.Observe(t1 - t0)
 	e.mx[cl].tasks.Inc()
 	overlapped := false
@@ -688,11 +649,9 @@ func (e *Engine) exec(tc rt.TaskCtx, st WorkerState, t *Task, tally *[numClasses
 		// Done while the submitter was free to serve requests (or, inline,
 		// between its requests): this is the overlap the paper claims.
 		overlapped = true
-		tally[cl].Overlap += t1 - t0
 		e.mx[cl].overlap.Observe(t1 - t0)
 	}
 	if res.Err != nil {
-		tally[cl].Errors++
 		e.mx[cl].errors.Inc()
 		if *sticky == nil {
 			*sticky = res.Err
@@ -709,7 +668,7 @@ func (e *Engine) exec(tc rt.TaskCtx, st WorkerState, t *Task, tally *[numClasses
 
 // flushState is the barrier hook on one state: a failed flush becomes the
 // sticky error and counts against the flush class.
-func (e *Engine) flushState(st WorkerState, tally *[numClasses]ClassTally, sticky *error) {
+func (e *Engine) flushState(st WorkerState, sticky *error) {
 	err := st.Flush()
 	if err == nil {
 		return
@@ -717,22 +676,18 @@ func (e *Engine) flushState(st WorkerState, tally *[numClasses]ClassTally, stick
 	if *sticky == nil {
 		*sticky = err
 	}
-	fc := e.cfg.FlushClass
-	tally[fc].Errors++
-	e.mx[fc].errors.Inc()
+	e.mx[e.cfg.FlushClass].errors.Inc()
 	if e.cfg.OnWorkerDone != nil {
 		e.cfg.OnWorkerDone(Completion{Result: Result{Err: err}}, false)
 	}
 }
 
 // runWorker is one worker's body. It owns private state (its own files,
-// clock identity and filesystem view) and local tallies, so the only
+// clock identity and filesystem view) and its sticky error, so the only
 // cross-task traffic is the queues and the engine's atomics.
 func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 	st := e.newState(wi, tc)
-	var tally [numClasses]ClassTally
 	var sticky error
-	crashed := false
 	defer func() {
 		if r := recover(); r != nil {
 			if e.cfg.FatalPanic == nil || !e.cfg.FatalPanic(r) {
@@ -742,12 +697,11 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 			// dead. Flag it so the submitter stops too, and leave the
 			// state unclosed (staged temporaries), as a real process death
 			// would.
-			crashed = true
 			e.crashed.Store(true)
 		} else if e.cfg.CloseStateOnExit {
 			st.Close()
 		}
-		e.ctl.Put(tc.Clock(), workerExit{tally: tally, crashed: crashed})
+		e.ctl.Put(tc.Clock(), workerExit{})
 	}()
 	for {
 		v, ok := e.jobs[wi].Get(tc.Clock())
@@ -756,17 +710,16 @@ func (e *Engine) runWorker(wi int, tc rt.TaskCtx) {
 		}
 		switch t := v.(type) {
 		case flushToken:
-			e.flushState(st, &tally, &sticky)
+			e.flushState(st, &sticky)
 			e.ctl.Put(tc.Clock(), flushAck{err: sticky})
 		case *Task:
 			if e.dead.Load() {
 				e.ctl.Put(tc.Clock(), Completion{Task: t, Cancelled: true})
 				continue
 			}
-			c := e.exec(tc, st, t, &tally, &sticky)
+			c := e.exec(tc, st, t, &sticky)
 			e.ctl.Put(tc.Clock(), c)
 			if c.Result.Fatal {
-				crashed = true
 				e.crashed.Store(true)
 				return
 			}

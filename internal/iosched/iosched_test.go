@@ -134,8 +134,8 @@ func TestBackpressureBlocksWithoutSleeping(t *testing.T) {
 	if got := snap.Counters["iosched.write.backpressure_waits"]; got != n {
 		t.Fatalf("iosched.write.backpressure_waits = %d, want %d", got, n)
 	}
-	if got := eng.Tally(ClassWrite).Done; got != n {
-		t.Fatalf("tally done = %d, want %d", got, n)
+	if got := snap.Counters["iosched.write.tasks"]; got != n {
+		t.Fatalf("iosched.write.tasks = %d, want %d", got, n)
 	}
 }
 
@@ -276,11 +276,13 @@ func TestFlushErrorSticky(t *testing.T) { widths(t, 1, testFlushErrorSticky) }
 
 func testFlushErrorSticky(t *testing.T, workers int) {
 	boom := errors.New("disk full")
+	reg := metrics.New()
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-err",
 		Workers:  workers,
 		QueueCap: 8,
 		Policy:   Writeback{},
+		Metrics:  reg,
 	})
 	eng.Submit(&Task{Class: ClassWrite, Cost: 1, Run: func(rt.TaskCtx, WorkerState) Result {
 		return Result{Err: boom}
@@ -295,8 +297,8 @@ func testFlushErrorSticky(t *testing.T, workers int) {
 		t.Fatalf("second flush err = %v, want sticky %v", err, boom)
 	}
 	eng.Close()
-	if got := eng.Tally(ClassWrite).Errors; got != 1 {
-		t.Fatalf("tally errors = %d, want 1", got)
+	if got := reg.Snapshot().Counters["iosched.write.errors"]; got != 1 {
+		t.Fatalf("iosched.write.errors = %d, want 1", got)
 	}
 }
 
@@ -306,11 +308,13 @@ func testFlushErrorSticky(t *testing.T, workers int) {
 func TestFatalResultStopsPool(t *testing.T) { widths(t, 1, testFatalResultStopsPool) }
 
 func testFatalResultStopsPool(t *testing.T, workers int) {
+	reg := metrics.New()
 	eng, _ := newTestEngine(t, Config{
 		Name:     "test-fatal",
 		Workers:  workers,
 		QueueCap: 8,
 		Policy:   Writeback{},
+		Metrics:  reg,
 	})
 	eng.Submit(&Task{Class: ClassWrite, Cost: 1, Run: func(rt.TaskCtx, WorkerState) Result {
 		return Result{Fatal: true}
@@ -322,8 +326,8 @@ func testFatalResultStopsPool(t *testing.T, workers int) {
 		t.Fatal("engine did not report the crash")
 	}
 	eng.Close()
-	if got := eng.Tally(ClassWrite).Done; got != 1 {
-		t.Fatalf("the fatal task's completion was lost: done = %d, want 1", got)
+	if got := reg.Snapshot().Counters["iosched.write.tasks"]; got != 1 {
+		t.Fatalf("the fatal task's completion was lost: iosched.write.tasks = %d, want 1", got)
 	}
 }
 
@@ -370,7 +374,7 @@ func (c *countingState) Flush() error {
 func (c *countingState) Close() error { return nil }
 
 // TestUnifiedMetricNames pins the scheduler's metric surface: one series
-// set per class, under the iosched. prefix.
+// set per class (write, read), under the iosched. prefix.
 func TestUnifiedMetricNames(t *testing.T) { widths(t, 1, testUnifiedMetricNames) }
 
 func testUnifiedMetricNames(t *testing.T, workers int) {
@@ -386,7 +390,7 @@ func testUnifiedMetricNames(t *testing.T, workers int) {
 	eng.Flush()
 	eng.Close()
 	snap := reg.Snapshot()
-	for _, class := range []string{"write", "read", "scan"} {
+	for _, class := range []string{"write", "read"} {
 		for _, name := range []string{"backpressure_waits", "errors", "tasks"} {
 			key := fmt.Sprintf("iosched.%s.%s", class, name)
 			if _, ok := snap.Counters[key]; !ok {
@@ -402,6 +406,9 @@ func testUnifiedMetricNames(t *testing.T, workers int) {
 				t.Errorf("histogram %s not registered", key)
 			}
 		}
+	}
+	if _, ok := snap.Counters["iosched.scan.tasks"]; ok {
+		t.Error("retired class iosched.scan is still registered")
 	}
 	if got := snap.Counters["iosched.write.tasks"]; got != 1 {
 		t.Fatalf("iosched.write.tasks = %d, want 1", got)
@@ -474,10 +481,10 @@ func TestInlineEngineSpawnsNothing(t *testing.T) {
 	if eng.Workers() != 0 {
 		t.Fatalf("Workers() = %d, want 0", eng.Workers())
 	}
-	if got := eng.Tally(ClassWrite).Done; got != 5 {
-		t.Fatalf("tally done = %d, want 5", got)
-	}
 	snap := reg.Snapshot()
+	if got := snap.Counters["iosched.write.tasks"]; got != 5 {
+		t.Fatalf("iosched.write.tasks = %d, want 5", got)
+	}
 	if got := snap.Counters["iosched.write.backpressure_waits"]; got != 1 {
 		t.Fatalf("iosched.write.backpressure_waits = %d, want 1", got)
 	}

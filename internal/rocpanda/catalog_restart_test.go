@@ -117,11 +117,12 @@ func TestIndexedRestartReadsOnlyNeededFiles(t *testing.T) {
 	}
 }
 
-// TestCorruptCatalogFallsBackToScan bit-flips the committed catalog blob:
-// the servers must detect the damage (blob CRC), count a fallback, scan
-// the directory instead, and still restart every pane bit-exact. A
-// missing catalog (older writer) takes the same path.
-func TestCorruptCatalogFallsBackToScan(t *testing.T) {
+// TestCorruptCatalogRebuiltFromDirectories bit-flips the committed
+// catalog blob: the servers must detect the damage (blob CRC), count a
+// fallback, rebuild the catalog from the files' own directories, and still
+// restart every pane bit-exact. A missing catalog (older writer) takes the
+// same path.
+func TestCorruptCatalogRebuiltFromDirectories(t *testing.T) {
 	fs := rt.NewMemFS()
 	const nClients, nServers = 3, 1
 	writeSnapshot(t, fs, "corr/s", nClients, nServers, 2)
@@ -142,7 +143,7 @@ func TestCorruptCatalogFallsBackToScan(t *testing.T) {
 		t.Fatalf("catalog_hits = %d, want 0", s.Counters["rocpanda.restart.catalog_hits"])
 	}
 
-	// No catalog at all: the scan path still recovers everything.
+	// No catalog at all: the rebuilt one still recovers everything.
 	if err := fs.Remove("corr/s" + catalog.Suffix); err != nil {
 		t.Fatal(err)
 	}

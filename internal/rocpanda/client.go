@@ -15,8 +15,8 @@ import (
 	"genxio/internal/snapshot"
 )
 
-// ErrIncompleteRestart reports that a scan-based restart could not recover
-// every requested pane: the snapshot is incomplete, typically because a
+// ErrIncompleteRestart reports that a restart could not recover every
+// requested pane: the snapshot is incomplete, typically because a
 // server died mid-snapshot and left a file without a directory, or died
 // with blocks still buffered in memory. Callers should fall back to the
 // previous (complete) snapshot.
@@ -38,7 +38,6 @@ type Metrics struct {
 	BytesOut     int64 // payload bytes shipped to the server
 	Retries      int   // operations retried after a server wait timed out
 	Failovers    int   // servers this client declared dead
-	IndexedReads int   // restart rounds a server served from the block catalog
 }
 
 // Client is a compute process's handle to the Rocpanda service. It
@@ -235,9 +234,9 @@ func (c *Client) WriteAttribute(file string, w *roccom.Window, attr string, tm f
 // ReadAttribute implements roccom.IOService: collective restart. The
 // window's registered pane IDs define this client's wanted blocks; every
 // client sends its list to every server, and servers ship back the blocks
-// found in their round-robin share of the snapshot files — through the
-// block catalog's direct offset reads when the generation has one, by
-// scanning file directories otherwise.
+// found in their round-robin share of the planned snapshot files, by the
+// block catalog's direct offset reads (the committed catalog, or one
+// rebuilt from the files' directories when it is unusable).
 func (c *Client) ReadAttribute(file string, w *roccom.Window, attr string) error {
 	return c.ReadPanes(file, w, attr, w.PaneIDs())
 }
@@ -314,9 +313,6 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 		case tagReadDone:
 			dones++
 			reported[st.Source] = true
-			if len(data) == 1 && data[0] == doneModeIndexed {
-				c.m.IndexedReads++
-			}
 		case tagReadBlock:
 			sets, err := roccom.DecodeIOSets(data)
 			if err != nil {
@@ -350,7 +346,7 @@ func (c *Client) ReadPanes(file string, w *roccom.Window, attr string, ids []int
 // recvReadMsg receives the next restart-protocol message. In fault-
 // tolerant mode it polls only the restart tags — a stale write ack from a
 // failed-over operation must not be misread — and gives up after an
-// extended stall (servers may legitimately spend a while scanning files,
+// extended stall (servers may legitimately spend a while reading files,
 // so the budget is far above RetryTimeout).
 func (c *Client) recvReadMsg() ([]byte, mpi.Status, bool) {
 	if c.timeout <= 0 {

@@ -122,7 +122,7 @@ func (s *server) enqueue(blk pendingBlock) {
 			return iosched.Result{
 				Err: err,
 				// MidDrain fires after the block lands (and its span and
-				// tallies are recorded).
+				// metrics are recorded).
 				Fatal: s.cfg.Crash.Hit(s.idx, faults.MidDrain),
 			}
 		},

@@ -7,6 +7,7 @@ package rocpanda
 // backend (real goroutines, wall clock) and is part of the CI -race suite.
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,20 +77,70 @@ func (f *slowFile) ReadAt(p []byte, off int64) (int, error) {
 //     tasks are still completing after the restart read returned;
 //   - both engines report nonzero overlap on the unified metrics — the
 //     drain's write class (work behind the application's back) and the
-//     restart share's scan class (disk time behind the round's shipping).
+//     restart share's read class (disk time behind the round's shipping).
 //
-// The restart goes through the directory-scan fallback (catalog deleted),
-// so with ReplicationFactor 2 the one server's share is two scan-class
-// files — the round ships from the first while the second still reads,
-// which is what makes the read-side overlap nonzero.
+// A was written by two servers with big panes, each planned file spanning
+// at least two read chunks, and is restored by one server with its
+// catalog deleted (so the servers rebuild it from the files' directories):
+// that server's share is both planned files, and the pool ships the first
+// while chunks of the second are still on disk, which is what makes the
+// read-side overlap nonzero.
 func TestCrossEngineInterleavedRestartRead(t *testing.T) {
-	fs := &slowFS{FS: rt.NewMemFS(), write: 5 * time.Millisecond, read: 2 * time.Millisecond}
+	const nodes = 30000 // ~1 MB per pane: every planned file spans >= 2 chunks
+	fs := &slowFS{FS: rt.NewMemFS(), write: 5 * time.Millisecond, read: 5 * time.Millisecond}
+	raw := fs.FS
+
+	// Generation A: two clients, two servers, R=2, committed.
+	world := mpi.NewChanWorld(raw, 1)
+	err := world.Run(4, func(ctx mpi.Ctx) error {
+		cl, err := Init(ctx, Config{NumServers: 2, Profile: hdf.NullProfile(), ActiveBuffering: true, ReplicationFactor: 2})
+		if err != nil || cl == nil {
+			return err
+		}
+		if err := cl.WriteAttribute("icx/A", buildWindowNodes(t, cl.Comm().Rank(), 2, nodes), "all", 1.0, 1); err != nil {
+			return err
+		}
+		if err := cl.Sync(); err != nil {
+			return err
+		}
+		return cl.Shutdown()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := catalog.Load(raw, "icx/A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make(map[int]bool)
+	for _, id := range cat.Panes("fluid") {
+		all[id] = true
+	}
+	plans := cat.PlanReads("fluid", all)
+	if len(plans) != 2 {
+		t.Fatalf("A plans %d files, want the 2 primaries", len(plans))
+	}
+	for _, plan := range plans {
+		var n int64
+		for _, run := range catalog.Coalesce(plan.Entries, 0) {
+			n += run.Length
+		}
+		if n <= readChunkBytes {
+			t.Fatalf("%s: planned %d bytes, want more than one %d-byte read chunk", plan.File, n, readChunkBytes)
+		}
+	}
+	// Deleting the catalog puts the restart below on a rebuilt one.
+	if err := raw.Remove("icx/A" + catalog.Suffix); err != nil {
+		t.Fatal(err)
+	}
+
 	reg := metrics.New()
-	// Written on the client goroutine; world.Run's wait is the
+	// Written on the client goroutines; world.Run's wait is the
 	// happens-before edge to the assertions below.
-	var tasksMidRead, overlapAfterA, overlapMidRead = int64(0), 0.0, 0.0
-	world := mpi.NewChanWorld(fs, 1)
-	err := world.Run(2, func(ctx mpi.Ctx) error {
+	var mu sync.Mutex
+	var tasksMidRead, overlapBeforeB, overlapMidRead = int64(-1), -1.0, 0.0
+	world = mpi.NewChanWorld(fs, 1)
+	err = world.Run(3, func(ctx mpi.Ctx) error {
 		cl, err := Init(ctx, Config{
 			NumServers:        1,
 			Profile:           hdf.NullProfile(),
@@ -101,29 +152,20 @@ func TestCrossEngineInterleavedRestartRead(t *testing.T) {
 			ReplicationFactor: 2,
 			Metrics:           reg,
 		})
-		if err != nil {
+		if err != nil || cl == nil {
 			return err
 		}
-		if cl == nil {
-			return nil
+		rank := cl.Comm().Rank()
+		if rank == 0 {
+			mu.Lock()
+			overlapBeforeB = reg.Snapshot().Histograms["iosched.write.overlap_seconds"].Sum
+			mu.Unlock()
 		}
-		w := buildWindow(t, cl.Comm().Rank(), 6)
-		if err := cl.WriteAttribute("icx/A", w, "all", 1.0, 1); err != nil {
-			return err
-		}
-		if err := cl.Sync(); err != nil {
-			return err
-		}
-		overlapAfterA = reg.Snapshot().Histograms["iosched.write.overlap_seconds"].Sum
-		// Sync committed A, so its catalog is on disk; deleting it forces
-		// the restart below onto the scan fallback (two scan-class tasks:
-		// primary + replica).
-		if err := fs.Remove("icx/A" + catalog.Suffix); err != nil {
-			return err
-		}
+		cl.Comm().Barrier()
 		// Generation B: buffered and enqueued on the drain engine, NOT
 		// synced — at 5 ms per file write it is still draining when the
 		// read round below runs.
+		w := buildWindow(t, rank, 6)
 		w.EachPane(func(p *roccom.Pane) {
 			pr, _ := p.Array("pressure")
 			for i := range pr.F64 {
@@ -136,14 +178,18 @@ func TestCrossEngineInterleavedRestartRead(t *testing.T) {
 		// Restart read of committed A while B drains. A committed
 		// generation needs no flush barrier (serveRead), so the round is
 		// admitted immediately on the read instance.
-		w2 := zeroWindow(t, cl.Comm().Rank(), 6)
+		w2 := zeroed(buildWindowNodes(t, rank, 2, nodes))
 		if err := cl.ReadAttribute("icx/A", w2, "all"); err != nil {
 			return err
 		}
 		mid := reg.Snapshot()
-		tasksMidRead = mid.Counters["iosched.write.tasks"]
-		overlapMidRead = mid.Histograms["iosched.write.overlap_seconds"].Sum
-		if err := checkWindow(cl.Comm().Rank(), w2); err != nil {
+		mu.Lock()
+		if tasksMidRead < 0 || mid.Counters["iosched.write.tasks"] < tasksMidRead {
+			tasksMidRead = mid.Counters["iosched.write.tasks"]
+			overlapMidRead = mid.Histograms["iosched.write.overlap_seconds"].Sum
+		}
+		mu.Unlock()
+		if err := checkWindow(rank, w2); err != nil {
 			return err
 		}
 		if err := cl.Sync(); err != nil {
@@ -156,10 +202,10 @@ func TestCrossEngineInterleavedRestartRead(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	t.Logf("write tasks mid-read=%d end=%d; write overlap afterA=%.4fs mid=%.4fs end=%.4fs; scan overlap=%.4fs",
+	t.Logf("write tasks mid-read=%d end=%d; write overlap beforeB=%.4fs mid=%.4fs end=%.4fs; read tasks=%d overlap=%.4fs",
 		tasksMidRead, snap.Counters["iosched.write.tasks"],
-		overlapAfterA, overlapMidRead, snap.Histograms["iosched.write.overlap_seconds"].Sum,
-		snap.Histograms["iosched.scan.overlap_seconds"].Sum)
+		overlapBeforeB, overlapMidRead, snap.Histograms["iosched.write.overlap_seconds"].Sum,
+		snap.Counters["iosched.read.tasks"], snap.Histograms["iosched.read.overlap_seconds"].Sum)
 	t.Logf("slowFS calls: %d writes, %d reads", fs.writes.Load(), fs.reads.Load())
 	// The drain outlived the read: B's write-class tasks kept completing
 	// after the restart returned — the read was not serialized behind the
@@ -170,22 +216,23 @@ func TestCrossEngineInterleavedRestartRead(t *testing.T) {
 	// And the read ran inside the drain, not before it: write-class
 	// overlap accrued while the restart round was in flight (B's blocks
 	// completing outside any flush barrier).
-	if overlapMidRead <= overlapAfterA {
-		t.Fatalf("write-class overlap did not grow during the read: %.6fs -> %.6fs", overlapAfterA, overlapMidRead)
+	if overlapMidRead <= overlapBeforeB {
+		t.Fatalf("write-class overlap did not grow during the read: %.6fs -> %.6fs", overlapBeforeB, overlapMidRead)
 	}
-	// The restart used the scan fallback (catalog deleted), two files.
+	// The restart rebuilt the deleted catalog and read both planned files
+	// in chunks.
 	if n := snap.Counters["rocpanda.restart.catalog_fallbacks"]; n == 0 {
-		t.Fatal("restart did not take the scan fallback")
+		t.Fatal("restart did not rebuild the deleted catalog")
 	}
-	if n := snap.Counters["iosched.scan.tasks"]; n < 2 {
-		t.Fatalf("scan-class tasks = %d, want >= 2 (primary + replica)", n)
+	if n := snap.Counters["iosched.read.tasks"]; n < 4 {
+		t.Fatalf("read-class tasks = %d, want >= 4 (two files, >= 2 chunks each)", n)
 	}
 	// Both engines overlapped: drain work behind the application's back,
-	// and scan reads behind the round's first ship.
+	// and chunk reads behind the round's first ship.
 	if ov := snap.Histograms["iosched.write.overlap_seconds"]; ov.Count == 0 || ov.Sum <= 0 {
 		t.Fatalf("no write-class overlap recorded: %+v", ov)
 	}
-	if ov := snap.Histograms["iosched.scan.overlap_seconds"]; ov.Count == 0 || ov.Sum <= 0 {
-		t.Fatalf("no scan-class overlap recorded: %+v", ov)
+	if ov := snap.Histograms["iosched.read.overlap_seconds"]; ov.Count == 0 || ov.Sum <= 0 {
+		t.Fatalf("no read-class overlap recorded: %+v", ov)
 	}
 }

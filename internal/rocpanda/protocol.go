@@ -31,11 +31,11 @@ const (
 // allreduce so no generation with missing data ever gets a manifest.
 const ackDrainFailed = 1
 
-// tagReadDone payload: one mode byte reporting how the server served its
-// share of the restart, so clients (and their metrics) can tell indexed
-// reads from scan fallbacks. Older-style empty payloads decode as scan.
+// tagReadDone payload: one mode byte reporting whether the server served
+// its share of the restart. Every share is served the same way, by
+// catalog-planned direct offset reads (the catalog committed, or rebuilt
+// from the files' directories).
 const (
-	doneModeScan    = 0 // directory walk over the server's file share
 	doneModeIndexed = 1 // catalog-planned direct offset reads
 	// doneModeFailed reports that the server could not serve its share at
 	// all (e.g. the snapshot listing failed): the round completed — the

@@ -1,19 +1,18 @@
 package rocpanda
 
 // The restart read engine: every server's one path from its share of a
-// restart round's files to the clients, as a ClassRead / ClassScan adapter
-// over internal/iosched (the read-side twin of the drain engine, drain.go).
-// A round's share — catalog-planned extent reads and directory-scan
-// fallbacks alike — becomes one batch of tasks. The engine's width is the
-// read policy:
+// restart round's files to the clients, as a ClassRead adapter over
+// internal/iosched (the read-side twin of the drain engine, drain.go).
+// A round's share is a list of catalog-planned files (serveShare): each
+// file's wanted entries, coalesced into runs and read at their offsets. It
+// becomes one batch of tasks. The engine's width is the read policy:
 //
 //   - Serial (the paper's restart, Section 4.1; ParallelRead off). The
 //     engine is inline: each file is one task run on the server itself,
-//     in plan order, each followed by its verification and shipping. A
-//     planned file's task opens it and reads each coalesced run with one
-//     ReadAt; the server closes it once its panes shipped or it was
-//     skipped. A scan task walks the file through the library. These are
-//     the serial restart's FS operations, in its order.
+//     in plan order, each followed by its verification and shipping. The
+//     task opens the file and reads each coalesced run with one ReadAt;
+//     the server closes it once its panes shipped or it was skipped. These
+//     are the serial restart's FS operations, in its order.
 //   - Parallel (ParallelRead). A pool of ReadWorkers (ctx.Spawn: real
 //     goroutines on the channel backend, simulation processes with their
 //     own clock and filesystem view on the virtual platforms) reads the
@@ -21,13 +20,12 @@ package rocpanda
 //     the network shipping of another.
 //
 // Division of labor: tasks do disk I/O only — they fill preallocated run
-// buffers with ReadAt, or walk a scan-fallback file into ship-ready pane
-// payloads — and report results as task completions. The server goroutine
-// does everything else: CRC verification, inflate, pane assembly, and
-// every network send (simulated endpoints charge the sending process, so
-// shipping must stay on the server's own identity). In the pool, reads of
-// file N+1 therefore overlap the verification and shipping of file N,
-// which is the pipelining the pool exists for.
+// buffers with ReadAt — and report results as task completions. The server
+// goroutine does everything else: CRC verification, inflate, pane
+// assembly, and every network send (simulated endpoints charge the sending
+// process, so shipping must stay on the server's own identity). In the
+// pool, reads of file N+1 therefore overlap the verification and shipping
+// of file N, which is the pipelining the pool exists for.
 //
 // Granularity: the pool splits coalesced runs into readChunkBytes chunks,
 // so even a single large snapshot file spreads across the whole pool. On
@@ -56,9 +54,9 @@ package rocpanda
 // damaged payloads mark the file failed; the server skips it whole —
 // nothing from a failed file ever ships — accounts the discarded bytes as
 // wasted, not read, and retries the file's panes against their other
-// copies (recoverPanes). An injected MidRead crash fires at the end of a
-// task as a fatal result; the server then dies as one process, and the
-// clients' stall detection takes over.
+// copies in the file's own catalog (recoverPanes). An injected MidRead
+// crash fires at the end of a task as a fatal result; the server then dies
+// as one process, and the clients' stall detection takes over.
 
 import (
 	"genxio/internal/catalog"
@@ -79,25 +77,19 @@ const (
 	readChunkBytes = 512 << 10
 )
 
-// readItem is one file of a server's restart share, as the listing and the
-// catalog classified it: a planned extent read, or a directory-scan
-// fallback.
+// readItem is one planned file of a server's restart share and the
+// catalog its plan came from — in chain rounds each item carries its own
+// generation's catalog, so a failed file's pane retries consult the right
+// link's copies.
 type readItem struct {
-	name string
-	scan bool
 	plan catalog.FilePlan
-	// cat, when set, is the catalog this plan came from — in chain rounds
-	// each item carries its own generation's catalog, so a failed file's
-	// pane retries consult the right link's copies.
-	cat *catalog.Catalog
+	cat  *catalog.Catalog
 }
 
 // readFile is the server-side state of one file of a restart round.
 type readFile struct {
-	name   string
-	scan   bool
 	plan   catalog.FilePlan
-	cat    *catalog.Catalog // per-item catalog (chain rounds); nil otherwise
+	cat    *catalog.Catalog // the catalog the plan came from
 	runs   []catalog.Run
 	bufs   [][]byte // one buffer per run; tasks fill disjoint windows
 	left   int      // outstanding task results for this file
@@ -114,7 +106,6 @@ type readResult struct {
 	read   int64 // bytes actually pulled from the file
 	opened bool
 	failed bool
-	ships  []paneShip // scan tasks only: ship-ready pane payloads
 }
 
 // readHandles is a read task's iosched.WorkerState: its open snapshot
@@ -178,18 +169,16 @@ type readEngine struct {
 	// Server-goroutine-only state.
 	files   []*readFile
 	tasks   []*iosched.Task
-	serial  *readHandles     // the inline engine's state (empty for a pool)
-	cat     *catalog.Catalog // nil in scan-fallback rounds (no index of copies)
-	bad     map[string]bool  // files that failed an open; retries skip them
-	shipped bool             // something left this server already (overlap accounting)
+	serial  *readHandles    // the inline engine's state (empty for a pool)
+	bad     map[string]bool // files that failed an open; retries skip them
+	shipped bool            // something left this server already (overlap accounting)
 }
 
 // newReadEngine builds the round's file states and task list, then the
-// scheduler instance (spawning the pool's workers). Planned files get their
-// run buffers allocated here, read by one task per file inline or split
-// into chunk tasks in the pool; scan files are one task each, costed by
-// file size in the pool's budget.
-func newReadEngine(s *server, window string, round *readRound, items []readItem, cat *catalog.Catalog) *readEngine {
+// scheduler instance (spawning the pool's workers). Each file gets its run
+// buffers allocated here, read by one task per file inline or split into
+// chunk tasks in the pool.
+func newReadEngine(s *server, window string, round *readRound, items []readItem) *readEngine {
 	nw := 0
 	if s.cfg.ParallelRead {
 		nw = s.cfg.ReadWorkers
@@ -202,22 +191,13 @@ func newReadEngine(s *server, window string, round *readRound, items []readItem,
 		s:      s,
 		window: window,
 		round:  round,
-		cat:    cat,
 		bad:    make(map[string]bool),
 		serial: &readHandles{},
 	}
 	for _, it := range items {
 		fi := len(e.files)
-		if it.scan {
-			e.files = append(e.files, &readFile{name: it.name, scan: true, left: 1})
-			var cost int64
-			if nw > 0 {
-				cost, _ = s.ctx.FS().Stat(it.name) // unknown size costs zero
-			}
-			e.tasks = append(e.tasks, e.scanTask(fi, it.name, cost))
-			continue
-		}
-		f := &readFile{name: it.name, plan: it.plan, cat: it.cat, runs: catalog.Coalesce(it.plan.Entries, 0)}
+		name := it.plan.File
+		f := &readFile{plan: it.plan, cat: it.cat, runs: catalog.Coalesce(it.plan.Entries, 0)}
 		f.bufs = make([][]byte, len(f.runs))
 		e.files = append(e.files, f)
 		var whole []extent
@@ -229,12 +209,12 @@ func newReadEngine(s *server, window string, round *readRound, items []readItem,
 			}
 			for off := int64(0); off < run.Length; off += readChunkBytes {
 				n := min(int64(readChunkBytes), run.Length-off)
-				e.tasks = append(e.tasks, e.extentTask(fi, it.name, []extent{{run.Offset + off, f.bufs[ri][off : off+n]}}))
+				e.tasks = append(e.tasks, e.extentTask(fi, name, []extent{{run.Offset + off, f.bufs[ri][off : off+n]}}))
 				f.left++
 			}
 		}
 		if nw == 0 {
-			e.tasks = append(e.tasks, e.extentTask(fi, it.name, whole))
+			e.tasks = append(e.tasks, e.extentTask(fi, name, whole))
 			f.left = 1
 		}
 	}
@@ -308,20 +288,6 @@ func (e *readEngine) extentTask(fi int, name string, exts []extent) *iosched.Tas
 	}
 }
 
-// scanTask builds one whole-file directory-scan fallback, run on the
-// worker's own clock and filesystem view so the profile's lookup costs
-// charge to the worker and overlap across the pool.
-func (e *readEngine) scanTask(fi int, name string, cost int64) *iosched.Task {
-	return &iosched.Task{
-		Class: iosched.ClassScan,
-		Cost:  cost,
-		Run: func(tc rt.TaskCtx, st iosched.WorkerState) iosched.Result {
-			ships, read, opened, failed := collectScanFile(tc.FS(), tc.Clock(), e.s.cfg.Profile, e.s.cfg.Metrics, name, e.window, e.round)
-			return e.finish(readResult{fi: fi, read: read, opened: opened, failed: failed, ships: ships})
-		},
-	}
-}
-
 // finish wraps a task result, evaluating the injected MidRead crash after
 // the work (and before the completion is reported, whose tallies and span
 // still land, and whose panes still ship — the server then dies).
@@ -333,11 +299,11 @@ func (e *readEngine) finish(res readResult) iosched.Result {
 // Runs on the server goroutine; returns only after every worker has
 // exited. If a task hit an injected crash the server process dies with
 // it.
-func (s *server) runReadPool(window string, round *readRound, items []readItem, cat *catalog.Catalog) {
+func (s *server) runReadPool(window string, round *readRound, items []readItem) {
 	if len(items) == 0 {
 		return
 	}
-	e := newReadEngine(s, window, round, items, cat)
+	e := newReadEngine(s, window, round, items)
 	defer e.eng.Close()
 	e.eng.RunBatch(e.tasks, e.consume)
 	e.eng.Close()
@@ -369,18 +335,6 @@ func (e *readEngine) consume(c iosched.Completion) {
 	}
 	f.read += r.read
 	f.left--
-	if f.scan {
-		if r.failed {
-			s.skipFile(f.read)
-			return
-		}
-		s.noteRestartBytes(f.read)
-		s.sendShips(r.ships)
-		if len(r.ships) > 0 {
-			e.shipped = true
-		}
-		return
-	}
 	if f.left > 0 {
 		return
 	}
@@ -407,25 +361,12 @@ func (e *readEngine) consume(c iosched.Completion) {
 	}
 }
 
-// retry recovers a failed planned file's panes from their other copies on
-// the server goroutine, while the workers keep reading the round's
-// remaining files. Scan-fallback files carry no plan (their panes are
-// unknown until read), and a round without a catalog has no index of
-// copies — in both cases the listing itself already covers every replica,
-// so there is nothing more to do here.
+// retry recovers a failed file's panes from their other copies on the
+// server goroutine, while the workers keep reading the round's remaining
+// files.
 func (e *readEngine) retry(f *readFile) {
-	if f.scan {
-		return
-	}
-	cat := f.cat
-	if cat == nil {
-		cat = e.cat
-	}
-	if cat == nil {
-		return
-	}
-	e.bad[f.name] = true
-	if e.s.recoverPanes(cat, e.window, e.round, f.plan, e.bad) > 0 {
+	e.bad[f.plan.File] = true
+	if e.s.recoverPanes(f.cat, e.window, e.round, f.plan, e.bad) > 0 {
 		e.shipped = true
 	}
 }

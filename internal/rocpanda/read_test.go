@@ -237,9 +237,11 @@ func TestRestartScanTimeExcludesFlush(t *testing.T) {
 // from a file that never ships (here: payload corrupted after commit, so
 // its CRC check fails) must count as bytes_wasted, not bytes_read — the
 // old accounting incremented bytes_read per run before verification and
-// kept it after the early return.
+// kept it after the early return. Both with the committed catalog and
+// with one rebuilt from the files' directories (the directory does not
+// cover payload bytes, so the rebuild indexes the damaged file as is).
 func TestRestartWastedBytesAccounting(t *testing.T) {
-	for _, mode := range []string{"indexed", "scan"} {
+	for _, mode := range []string{"indexed", "rebuilt"} {
 		t.Run(mode, func(t *testing.T) {
 			fs := rt.NewMemFS()
 			writeSnapshot(t, fs, "wb/A", 2, 1, 2)
@@ -251,10 +253,8 @@ func TestRestartWastedBytesAccounting(t *testing.T) {
 				t.Fatal("empty catalog")
 			}
 			// Flip one bit in the middle of the last entry's stored payload:
-			// indexed reads catch it via the entry CRC, scans via the
-			// reader's dataset checksum. The last entry keeps a prefix of
-			// the scan walk succeeding, so the scan's partial reads are
-			// provably re-accounted as waste too.
+			// the planned read catches it via the entry CRC, after reading
+			// the rest of the file, which is provably re-accounted as waste.
 			e := cat.Entries[len(cat.Entries)-1]
 			name := cat.Files[e.File]
 			if !e.HasCRC {
@@ -263,7 +263,7 @@ func TestRestartWastedBytesAccounting(t *testing.T) {
 			if err := faults.FlipBit(fs, name, (e.Offset+e.Length/2)*8); err != nil {
 				t.Fatal(err)
 			}
-			if mode == "scan" {
+			if mode == "rebuilt" {
 				if err := fs.Remove("wb/A" + catalog.Suffix); err != nil {
 					t.Fatal(err)
 				}
@@ -383,13 +383,23 @@ func TestParallelReadCrashMidReadFallsBack(t *testing.T) {
 }
 
 // countingFS counts the snapshot-file operations a restart issues: Opens
-// and ReadAts per .rhdf file, and every Stat.
+// and ReadAts per .rhdf file, each file's operations in issue order, and
+// every Stat.
 type countingFS struct {
 	rt.FS
 	mu    sync.Mutex
 	opens map[string]int
 	reads map[string]int
+	ops   map[string][]fsOp
 	stats int
+}
+
+// fsOp is one logged file operation: an Open (n < 0) or a ReadAt of n
+// bytes at off.
+type fsOp struct{ off, n int64 }
+
+func newCountingFS(fsys rt.FS) *countingFS {
+	return &countingFS{FS: fsys, opens: make(map[string]int), reads: make(map[string]int), ops: make(map[string][]fsOp)}
 }
 
 func (f *countingFS) Open(name string) (rt.File, error) {
@@ -399,6 +409,7 @@ func (f *countingFS) Open(name string) (rt.File, error) {
 	}
 	f.mu.Lock()
 	f.opens[name]++
+	f.ops[name] = append(f.ops[name], fsOp{n: -1})
 	f.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -421,6 +432,7 @@ type countingFile struct {
 func (c *countingFile) ReadAt(p []byte, off int64) (int, error) {
 	c.fs.mu.Lock()
 	c.fs.reads[c.Name()]++
+	c.fs.ops[c.Name()] = append(c.fs.ops[c.Name()], fsOp{off: off, n: int64(len(p))})
 	c.fs.mu.Unlock()
 	return c.File.ReadAt(p, off)
 }
@@ -476,9 +488,11 @@ func restartSome(t *testing.T, fs rt.FS, file string, wanted map[int]bool) {
 // TestSerialRestartIssuesSerialFSOps pins the inline read engine to the
 // paper's serial restart: with ParallelRead off, each planned file is
 // opened once and read with one ReadAt per coalesced run — no chunk split —
-// and no file is Stat'ed for a budget cost, not even a directory-scan
-// fallback. The clients restore every other pane, so each file's plan has
-// gaps and several runs.
+// and no file is Stat'ed for a budget cost. Without the catalog the files'
+// directories are read first (the clients' pane universe, the server's
+// rebuilt catalog), then the same one Open and one ReadAt per run. The
+// clients restore every other pane, so each file's plan has gaps and
+// several runs.
 func TestSerialRestartIssuesSerialFSOps(t *testing.T) {
 	raw := rt.NewMemFS()
 	writeSnapshot(t, raw, "so/s", 4, 2, 3)
@@ -493,8 +507,10 @@ func TestSerialRestartIssuesSerialFSOps(t *testing.T) {
 		}
 	}
 	wantReads := make(map[string]int)
+	wantRuns := make(map[string][]catalog.Run)
 	for _, plan := range cat.PlanReads("fluid", wanted) {
-		wantReads[plan.File] = len(catalog.Coalesce(plan.Entries, 0))
+		wantRuns[plan.File] = catalog.Coalesce(plan.Entries, 0)
+		wantReads[plan.File] = len(wantRuns[plan.File])
 		if wantReads[plan.File] < 2 {
 			t.Fatalf("%s: plan coalesces to %d run, want gaps", plan.File, wantReads[plan.File])
 		}
@@ -503,7 +519,7 @@ func TestSerialRestartIssuesSerialFSOps(t *testing.T) {
 		t.Fatalf("planned files %v, want the 2 writers' files", wantReads)
 	}
 
-	fs := &countingFS{FS: raw, opens: make(map[string]int), reads: make(map[string]int)}
+	fs := newCountingFS(raw)
 	restartSome(t, fs, "so/s", wanted)
 	for name, runs := range wantReads {
 		if fs.opens[name] != 1 || fs.reads[name] != runs {
@@ -517,13 +533,42 @@ func TestSerialRestartIssuesSerialFSOps(t *testing.T) {
 		t.Errorf("indexed serial restart issued %d Stat calls, want 0", fs.stats)
 	}
 
-	// Without the catalog every file is a directory-scan fallback.
+	// Without the catalog: directory reads, then the planned reads.
 	if err := raw.Remove("so/s" + catalog.Suffix); err != nil {
 		t.Fatal(err)
 	}
-	fs = &countingFS{FS: raw, opens: make(map[string]int), reads: make(map[string]int)}
+	fs = newCountingFS(raw)
 	restartSome(t, fs, "so/s", wanted)
+	for name, runs := range wantRuns {
+		size, err := raw.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := fs.ops[name]
+		tail := len(ops) - len(runs) - 1
+		if tail < 1 || ops[tail].n >= 0 {
+			t.Fatalf("%s: ops %v do not end in one Open and %d ReadAts after directory reads", name, ops, len(runs))
+		}
+		for i, run := range runs {
+			if op := ops[tail+1+i]; op.off != run.Offset || op.n != run.Length {
+				t.Errorf("%s: planned ReadAt %d read [%d,+%d), want run [%d,+%d)", name, i, op.off, op.n, run.Offset, run.Length)
+			}
+		}
+		dirReads := 0
+		for _, op := range ops[:tail] {
+			switch {
+			case op.n < 0: // the directory walk's own Open
+			case op.off == 0 || op.off+op.n == size: // header, directory
+				dirReads++
+			default:
+				t.Errorf("%s: payload ReadAt [%d,+%d) before the planned reads", name, op.off, op.n)
+			}
+		}
+		if dirReads == 0 {
+			t.Errorf("%s: no directory read before the planned reads (ops %v)", name, ops)
+		}
+	}
 	if fs.stats != 0 {
-		t.Errorf("scan serial restart issued %d Stat calls, want 0", fs.stats)
+		t.Errorf("rebuilt-catalog serial restart issued %d Stat calls, want 0", fs.stats)
 	}
 }

@@ -2,8 +2,8 @@ package rocpanda
 
 // Fault-injection and recovery tests: server crashes at instrumented
 // points (internal/faults), client failover to surviving servers, and the
-// scan-based restart path recovering snapshots bit-exactly — or reporting
-// them incomplete so the caller can fall back to the previous one.
+// restart path recovering snapshots bit-exactly — or reporting them
+// incomplete so the caller can fall back to the previous one.
 
 import (
 	"errors"
@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"genxio/internal/catalog"
 	"genxio/internal/faults"
 	"genxio/internal/hdf"
 	"genxio/internal/metrics"
@@ -357,6 +358,16 @@ func TestDroppedAckFailoverDedupsRestart(t *testing.T) {
 		r.Close()
 	}
 
+	// The wrongly-declared server renamed its file into place after the
+	// commit, so the committed catalog does not index it.
+	cat, err := catalog.Load(fs, "dup/s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cat.Files) != 1 || cat.Files[0] != names[0] {
+		t.Fatalf("committed catalog indexes %v, want only %s", cat.Files, names[0])
+	}
+
 	// Restart in a healthy world: client 2's panes exist in both files;
 	// the read path must dedup them and every pane must be bit-exact.
 	reg := metrics.New()
@@ -386,10 +397,15 @@ func TestDroppedAckFailoverDedupsRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 clients x 2 panes unique; the duplicated panes are shipped too
-	// (and discarded client-side), so more than 8 blocks cross the wire.
-	if served := reg.Counter("rocpanda.server.reads_served").Value(); served <= 8 {
-		t.Fatalf("servers shipped %d blocks, want >8 (duplicates must exist)", served)
+	// The servers index the late file by its own directory, next to the
+	// committed catalog, and plan each duplicated pane from one copy: the
+	// 4 clients x 2 panes cross the wire exactly once, and both files are
+	// read (the late one holds the other client's panes).
+	if served := reg.Counter("rocpanda.server.reads_served").Value(); served != 8 {
+		t.Fatalf("servers shipped %d blocks, want 8 (one per pane)", served)
+	}
+	if opened := reg.Counter("rocpanda.restart.files_opened").Value(); opened != 2 {
+		t.Fatalf("files_opened = %d, want 2 (the committed and the late file)", opened)
 	}
 }
 

@@ -177,125 +177,197 @@ func damagePrimary(fs rt.FS, gen, name, how string) error {
 	return fmt.Errorf("no CRC-bearing catalog entry in %s", name)
 }
 
+// replicaRestart runs the replica acceptance world: a 2-server R=2 run
+// writes decoy generation 0 and canonical generation 100, damages
+// generation 100 as how says — "indexed" leaves it intact, "catalog"
+// deletes its block catalog, "delete" and "flipbit" damage a primary —
+// and restores the newest restorable generation, requiring generation 100
+// bit-exactly. It returns every rank's registry and the server ranks.
+func replicaRestart(t *testing.T, how string, parallel bool) (regs map[int]*metrics.Registry, servers map[int]bool) {
+	t.Helper()
+	fs := rt.NewMemFS()
+	const gen = "rep/snap000100"
+	const victim = gen + "_s000.rhdf"
+
+	var mu sync.Mutex
+	regs = make(map[int]*metrics.Registry)
+	servers = make(map[int]bool)
+
+	world := mpi.NewChanWorld(fs, 1)
+	err := world.Run(6, func(ctx mpi.Ctx) error {
+		reg := metrics.New()
+		mu.Lock()
+		regs[ctx.Comm().Rank()] = reg
+		mu.Unlock()
+		cl, err := Init(ctx, Config{
+			NumServers:        2,
+			Profile:           hdf.NullProfile(),
+			ActiveBuffering:   true,
+			ReplicationFactor: 2,
+			ParallelRead:      parallel,
+			Metrics:           reg,
+		})
+		if err != nil {
+			return err
+		}
+		if cl == nil {
+			mu.Lock()
+			servers[ctx.Comm().Rank()] = true
+			mu.Unlock()
+			return nil
+		}
+		// Decoy data in generation 0 (separate window: +=/-= on one window
+		// would not round-trip float64 bit-exactly), canonical data in
+		// generation 100 — restoring the wrong generation cannot pass the
+		// bit-exact check below.
+		decoy := buildWindow(t, cl.Comm().Rank(), 2)
+		decoy.EachPane(func(p *roccom.Pane) {
+			pr, _ := p.Array("pressure")
+			for i := range pr.F64 {
+				pr.F64[i] += 1000
+			}
+		})
+		if err := cl.WriteAttribute("rep/snap000000", decoy, "all", 0.0, 0); err != nil {
+			return err
+		}
+		if err := cl.Sync(); err != nil {
+			return err
+		}
+		w := buildWindow(t, cl.Comm().Rank(), 2)
+		if err := cl.WriteAttribute(gen, w, "all", 1.0, 100); err != nil {
+			return err
+		}
+		if err := cl.Sync(); err != nil {
+			return err
+		}
+
+		if cl.Comm().Rank() == 0 {
+			var err error
+			switch how {
+			case "indexed":
+			case "catalog":
+				err = fs.Remove(gen + catalog.Suffix)
+			default:
+				err = damagePrimary(fs, gen, victim, how)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		cl.Comm().Barrier()
+
+		rw := zeroWindow(t, cl.Comm().Rank(), 2)
+		base, err := cl.RestoreLatest("rep/", func(base string) error {
+			return cl.ReadAttribute(base, rw, "all")
+		})
+		if err != nil {
+			return err
+		}
+		if base != gen {
+			t.Errorf("client %d restored %q, want the damaged-but-replicated generation", cl.Comm().Rank(), base)
+		}
+		if err := checkWindow(cl.Comm().Rank(), rw); err != nil {
+			return err
+		}
+		return cl.Shutdown()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regs, servers
+}
+
+// sumCounter totals one counter over every rank's registry.
+func sumCounter(regs map[int]*metrics.Registry, name string) int64 {
+	var n int64
+	for _, reg := range regs {
+		n += reg.Counter(name).Value()
+	}
+	return n
+}
+
 // TestReplicaLossRestartsSameGeneration is the acceptance scenario: with
 // R=2, delete (or bit-flip) a primary of the newest generation and restart.
 // The restore must come from the SAME generation, bit-exactly, with zero
 // generation fallbacks, the replica reads visible in the new counters —
-// on both the serial and the parallel read path.
+// on both the serial and the parallel read path. The undamaged rows pin
+// the baseline: an intact generation needs no replica, and with its block
+// catalog deleted the servers rebuild it from the files' directories and
+// open and read exactly what the committed catalog would have them read.
 func TestReplicaLossRestartsSameGeneration(t *testing.T) {
-	for _, how := range []string{"delete", "flipbit"} {
+	for _, how := range []string{"indexed", "catalog", "delete", "flipbit"} {
 		for _, parallel := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/parallel=%v", how, parallel), func(t *testing.T) {
-				fs := rt.NewMemFS()
-				const gen = "rep/snap000100"
-				const victim = gen + "_s000.rhdf"
-
-				var mu sync.Mutex
-				regs := make(map[int]*metrics.Registry)
-
-				world := mpi.NewChanWorld(fs, 1)
-				err := world.Run(6, func(ctx mpi.Ctx) error {
-					reg := metrics.New()
-					mu.Lock()
-					regs[ctx.Comm().Rank()] = reg
-					mu.Unlock()
-					cl, err := Init(ctx, Config{
-						NumServers:        2,
-						Profile:           hdf.NullProfile(),
-						ActiveBuffering:   true,
-						ReplicationFactor: 2,
-						ParallelRead:      parallel,
-						Metrics:           reg,
-					})
-					if err != nil {
-						return err
-					}
-					if cl == nil {
-						return nil
-					}
-					// Decoy data in generation 0 (separate window: +=/-= on
-					// one window would not round-trip float64 bit-exactly),
-					// canonical data in generation 100 — restoring the wrong
-					// generation cannot pass the bit-exact check below.
-					decoy := buildWindow(t, cl.Comm().Rank(), 2)
-					decoy.EachPane(func(p *roccom.Pane) {
-						pr, _ := p.Array("pressure")
-						for i := range pr.F64 {
-							pr.F64[i] += 1000
-						}
-					})
-					if err := cl.WriteAttribute("rep/snap000000", decoy, "all", 0.0, 0); err != nil {
-						return err
-					}
-					if err := cl.Sync(); err != nil {
-						return err
-					}
-					w := buildWindow(t, cl.Comm().Rank(), 2)
-					if err := cl.WriteAttribute(gen, w, "all", 1.0, 100); err != nil {
-						return err
-					}
-					if err := cl.Sync(); err != nil {
-						return err
-					}
-
-					if cl.Comm().Rank() == 0 {
-						if err := damagePrimary(fs, gen, victim, how); err != nil {
-							return err
-						}
-					}
-					cl.Comm().Barrier()
-
-					rw := zeroWindow(t, cl.Comm().Rank(), 2)
-					base, err := cl.RestoreLatest("rep/", func(base string) error {
-						return cl.ReadAttribute(base, rw, "all")
-					})
-					if err != nil {
-						return err
-					}
-					if base != gen {
-						t.Errorf("client %d restored %q, want the damaged-but-replicated generation", cl.Comm().Rank(), base)
-					}
-					if err := checkWindow(cl.Comm().Rank(), rw); err != nil {
-						return err
-					}
-					return cl.Shutdown()
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				regs, _ := replicaRestart(t, how, parallel)
 
 				// No generation fallback anywhere; every client scanned
 				// exactly the newest generation.
-				var scanned, fallbacks, replicaReads, repairedPanes int64
 				for rank, reg := range regs {
 					if f := reg.Counter("rocpanda.restart.fallbacks").Value(); f != 0 {
 						t.Errorf("rank %d restart.fallbacks = %d, want 0", rank, f)
 					}
-					scanned += reg.Counter("rocpanda.restart.generations_scanned").Value()
-					fallbacks += reg.Counter("rocpanda.restart.fallbacks").Value()
-					replicaReads += reg.Counter("rocpanda.restart.replica_reads").Value()
-					repairedPanes += reg.Counter("rocpanda.restart.repaired_panes").Value()
 				}
-				if scanned != 4 { // one generation per client walk
+				if scanned := sumCounter(regs, "rocpanda.restart.generations_scanned"); scanned != 4 { // one generation per client walk
 					t.Errorf("generations_scanned total = %d, want 4 (1 per client)", scanned)
 				}
-				if replicaReads <= 0 {
-					t.Errorf("restart.replica_reads = %d, want > 0", replicaReads)
+				replicaReads := sumCounter(regs, "rocpanda.restart.replica_reads")
+				repairedPanes := sumCounter(regs, "rocpanda.restart.repaired_panes")
+				switch how {
+				case "indexed", "catalog":
+					if replicaReads != 0 || repairedPanes != 0 {
+						t.Errorf("intact generation: replica_reads = %d, repaired_panes = %d, want 0", replicaReads, repairedPanes)
+					}
+				default:
+					if replicaReads <= 0 {
+						t.Errorf("restart.replica_reads = %d, want > 0", replicaReads)
+					}
+					if repairedPanes < replicaReads {
+						t.Errorf("restart.repaired_panes = %d < replica_reads = %d", repairedPanes, replicaReads)
+					}
 				}
-				if repairedPanes < replicaReads {
-					t.Errorf("restart.repaired_panes = %d < replica_reads = %d", repairedPanes, replicaReads)
+				if how == "catalog" {
+					if n := sumCounter(regs, "rocpanda.restart.catalog_fallbacks"); n != 2 {
+						t.Errorf("catalog_fallbacks = %d, want 2 (one per server)", n)
+					}
+					indexed, _ := replicaRestart(t, "indexed", parallel)
+					for _, name := range []string{"rocpanda.restart.files_opened", "rocpanda.restart.bytes_read"} {
+						if got, want := sumCounter(regs, name), sumCounter(indexed, name); got != want {
+							t.Errorf("%s = %d with the catalog rebuilt, %d with it committed", name, got, want)
+						}
+					}
 				}
 				if how == "flipbit" {
-					var crc int64
-					for _, reg := range regs {
-						crc += reg.Counter("hdf.checksum_failures").Value()
-					}
-					if crc <= 0 {
+					if crc := sumCounter(regs, "hdf.checksum_failures"); crc <= 0 {
 						t.Error("bit flip restarted without a single recorded checksum failure")
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestReplicaRestartOpensOnePrimaryPerServer pins how a replicated full
+// generation's restart is dealt: the planned files — the primaries — go
+// round-robin over the servers, so with two servers and R=2 each server
+// opens exactly its one primary. The directory listing alternates primary
+// and replica, so dealing it would hand both primaries to server 0 and
+// leave server 1 idle, doubling the visible restart read.
+func TestReplicaRestartOpensOnePrimaryPerServer(t *testing.T) {
+	for _, how := range []string{"indexed", "catalog"} {
+		t.Run(how, func(t *testing.T) {
+			regs, servers := replicaRestart(t, how, false)
+			if len(servers) != 2 {
+				t.Fatalf("%d server ranks, want 2", len(servers))
+			}
+			for rank := range servers {
+				if n := regs[rank].Counter("rocpanda.restart.files_opened").Value(); n != 1 {
+					t.Errorf("server rank %d opened %d files, want its 1 primary", rank, n)
+				}
+				if n := regs[rank].Counter("rocpanda.restart.replica_reads").Value(); n != 0 {
+					t.Errorf("server rank %d read %d panes from replicas, want 0", rank, n)
+				}
+			}
+		})
 	}
 }
 

@@ -22,10 +22,11 @@
 //     to make room, which delays the acknowledgement (graceful overflow).
 //
 //   - Collective read (restart): every client sends its wanted block list
-//     to every server; snapshot files are assigned to servers round-robin;
-//     each server scans its files, finds requested blocks, and ships them
-//     to the owning clients — so a run may restart with a different
-//     number of servers than wrote the files.
+//     to every server; the block catalog plans which files hold them, the
+//     planned files are assigned to servers round-robin, and each server
+//     reads the requested blocks from its files and ships them to the
+//     owning clients — so a run may restart with a different number of
+//     servers than wrote the files.
 package rocpanda
 
 import (
@@ -93,9 +94,8 @@ type Config struct {
 	BufferBudgetBytes int64
 	// ParallelRead moves restart reads off the server's request loop onto
 	// a pool of read workers (internal/rocpanda/read.go): catalog-planned
-	// extents and directory-scan fallbacks are read concurrently, with
-	// disk reads of one file pipelined against the network shipping of
-	// another. Restored panes are bit-identical to the serial read's
+	// extents are read concurrently, with disk reads of one file pipelined
+	// against the network shipping of another. Restored panes are bit-identical to the serial read's
 	// (clients dedupe on first arrival, and all shipping stays on the
 	// server's request loop in plan order).
 	ParallelRead bool

@@ -35,6 +35,12 @@ func listRHDF(t testing.TB, fs rt.FS, prefix string) []string {
 // buildWindow registers nblocks panes with deterministic data for a client
 // rank (of the client communicator).
 func buildWindow(t testing.TB, clientRank, nblocks int) *roccom.Window {
+	return buildWindowNodes(t, clientRank, nblocks, 50)
+}
+
+// buildWindowNodes is buildWindow with about nodes mesh nodes per pane,
+// for tests that need snapshot files spanning several read chunks.
+func buildWindowNodes(t testing.TB, clientRank, nblocks, nodes int) *roccom.Window {
 	rc := roccom.New()
 	w, err := rc.NewWindow("fluid")
 	if err != nil {
@@ -44,7 +50,7 @@ func buildWindow(t testing.TB, clientRank, nblocks int) *roccom.Window {
 	w.NewAttribute(roccom.AttrSpec{Name: "flags", Loc: roccom.PaneLoc, Type: hdf.I32, NComp: 1})
 	blocks, err := mesh.GenCylinder(mesh.CylinderSpec{
 		RInner: 0.1, ROuter: 0.4, Length: 1,
-		BR: 1, BT: nblocks, BZ: 1, NodesPerBlock: 50, Spread: 0.25,
+		BR: 1, BT: nblocks, BZ: 1, NodesPerBlock: nodes, Spread: 0.25,
 	}, 1000*clientRank+1, stats.NewRNG(uint64(clientRank)+3))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +91,11 @@ func checkWindow(clientRank int, w *roccom.Window) error {
 // zeroWindow rebuilds the same panes but wipes the data, keeping the IDs
 // (the restart wanted-list).
 func zeroWindow(t testing.TB, clientRank, nblocks int) *roccom.Window {
-	w := buildWindow(t, clientRank, nblocks)
+	return zeroed(buildWindow(t, clientRank, nblocks))
+}
+
+// zeroed wipes a window's attribute data in place and returns it.
+func zeroed(w *roccom.Window) *roccom.Window {
 	w.EachPane(func(p *roccom.Pane) {
 		pr, _ := p.Array("pressure")
 		for i := range pr.F64 {

@@ -35,12 +35,12 @@ type pendingBlock struct {
 // Requesters are tracked as a set of world ranks, not a raw count: after a
 // failover a client may resend its request to a server that already has
 // the first copy in flight, and counting that duplicate would start the
-// scan before every client has actually asked (a partial restart).
+// round before every client has actually asked (a partial restart).
 type readRound struct {
 	attr    string
 	wantAll map[int]int  // (paneID) -> world rank of requesting client
 	reqers  map[int]bool // world ranks that have requested this round
-	alive   []int        // server indices sharing the scan (agreed by the clients)
+	alive   []int        // server indices sharing the round (agreed by the clients)
 }
 
 // server is the Rocpanda server routine state (Figure 2's I/O processor).
@@ -79,7 +79,7 @@ type srvMx struct {
 	flushSeconds   *metrics.Histogram // restart barrier time (serveRead)
 	readErrors     *metrics.Counter   // failed listings and skipped files
 
-	// Restart I/O-efficiency counters (catalog vs scan).
+	// Restart I/O-efficiency counters (committed vs rebuilt catalog).
 	filesOpened      *metrics.Counter
 	restartBytes     *metrics.Counter
 	bytesWasted      *metrics.Counter
@@ -416,8 +416,8 @@ func (k *blockSink) closeAll(exceptGen string) error {
 }
 
 // handleReadReq accumulates one client's restart request; when all clients
-// have asked, the server scans its share of the snapshot files and ships
-// the found blocks to their owners (Section 4.1's restart protocol).
+// have asked, the server reads its share of the snapshot files and ships
+// the requested blocks to their owners (Section 4.1's restart protocol).
 func (s *server) handleReadReq(src int) {
 	data := s.recvExpect(src, tagReadReq, "read request")
 	req, err := decodeReadReq(data)
@@ -436,7 +436,7 @@ func (s *server) handleReadReq(src int) {
 	// The clients agree on the surviving-server set before asking (an
 	// allreduce in ReadAttribute), so every request carries the same
 	// alive list; keep the intersection anyway so a disagreement can only
-	// shrink a server's share, never leave a file scanned twice.
+	// shrink a server's share, never leave a file read twice.
 	if len(round.reqers) == 0 {
 		for _, a := range req.Alive {
 			round.alive = append(round.alive, int(a))
@@ -457,7 +457,7 @@ func (s *server) handleReadReq(src int) {
 	// Count distinct requesters, not messages: a failed-over client can
 	// resend the same request (its timeout fired while this server was
 	// slow, not dead), and treating the duplicate as a new requester
-	// would start the scan before the remaining clients asked.
+	// would start the round before the remaining clients asked.
 	round.reqers[src] = true
 	if len(round.reqers) < len(s.allClients) {
 		return
@@ -473,10 +473,10 @@ func (s *server) serveRead(file, window string, round *readRound) {
 	// it on disk — so reading generation g proceeds immediately, its
 	// iosched read instance admitted while the drain instance may still be
 	// writing back generation g+1 (the scheduler's cross-engine overlap).
-	// When the flush does run it is write-back cost, not scan cost: it
-	// gets its own histogram, and the scan clock starts only after it — so
-	// with async drain enabled the restart "scan time" never silently
-	// absorbs the drain barrier.
+	// When the flush does run it is write-back cost, not read cost: it
+	// gets its own histogram, and the round clock (restart_scan_seconds)
+	// starts only after it — so with async drain enabled the restart round
+	// time never silently absorbs the drain barrier.
 	if _, err := snapshot.Load(s.ctx.FS(), file); err != nil {
 		flushT0 := s.ctx.Clock().Now()
 		s.flushOutput()
@@ -486,8 +486,8 @@ func (s *server) serveRead(file, window string, round *readRound) {
 	scanT0 := s.ctx.Clock().Now()
 	defer func() { s.mx.scanSeconds.Observe(s.ctx.Clock().Now() - scanT0) }()
 
-	// Snapshot files are dealt round-robin over the servers sharing the
-	// scan — all of them normally, the agreed survivors in degraded mode.
+	// Planned files are dealt round-robin over the servers sharing the
+	// round — all of them normally, the agreed survivors in degraded mode.
 	alive := round.alive
 	if len(alive) == 0 {
 		alive = make([]int, s.numServers)
@@ -501,7 +501,7 @@ func (s *server) serveRead(file, window string, round *readRound) {
 			pos = i
 		}
 	}
-	mode := byte(doneModeScan)
+	mode := byte(doneModeIndexed) // outside the alive set: nothing to serve
 	if pos >= 0 {
 		mode = s.serveShare(file, window, round, alive, pos)
 	}
@@ -510,164 +510,112 @@ func (s *server) serveRead(file, window string, round *readRound) {
 	}
 }
 
-// serveShare serves this server's round-robin share of a restart round and
-// returns the done-mode byte. One listing feeds both paths, so a catalog
-// verdict can only change how a file is read, never which files this
-// server covers — servers disagreeing about the catalog's health can only
-// re-ship panes (clients dedupe on first arrival), never leave a file
-// unserved.
+// serveShare serves this server's share of a restart round and returns the
+// done-mode byte. Every round takes the same path: the round's block
+// catalogs (roundCatalogs) resolve each requested pane to exactly one
+// generation — the newest chain link holding it — each catalog's PlanReads
+// picks one copy of it (primaries before replicas), and the planned files,
+// in (chain, plan) order, are dealt round-robin over the servers sharing
+// the round. Every server derives the same deal from the same catalogs, so
+// the servers partition the planned files without communicating, and a
+// file that holds no requested pane is never opened — only the extents a
+// restart needs are read. A planned file that fails its open, read or CRC
+// check is skipped whole and its panes retried against their other copies
+// (recoverPanes), so a lost primary costs replica reads, not the
+// generation. A rebuilt catalog encodes like the committed one, so
+// servers disagreeing about the blob's health still deal alike; only a
+// fault that hides a file from one server's rebuild can leave a pane
+// unshipped, and the clients' completeness check then falls back a
+// generation — never restores wrong data.
 //
-// With a usable catalog, only the share's files that actually hold
-// requested panes are read (direct coalesced offset reads, every entry
-// CRC-verified before anything from its file ships); files the catalog
-// knows but planned nothing from are skipped unopened — the indexed read's
-// whole win. Files the commit never saw (a server wrongly declared dead
-// renamed its file into place after the manifest) get the directory scan,
-// as does everything when no usable catalog exists.
-//
-// A failed listing degrades instead of killing the server: the round is
+// A round whose catalogs cannot be had (a failed listing, an unloadable
+// chain link) degrades instead of killing the server: the round is
 // reported failed (doneModeFailed) so no client is left hanging, and the
 // clients decide whether peers covered the panes or a generation fallback
 // is needed.
 func (s *server) serveShare(file, window string, round *readRound, alive []int, pos int) byte {
-	// A delta generation restores through its chain, not its own files
-	// alone. An unreadable head manifest falls through to the single-
-	// generation path: its listing still scans, the dirty panes it holds
-	// ship, and the clients' completeness check decides whether that was
-	// enough.
-	if m, err := snapshot.Load(s.ctx.FS(), file); err == nil && m.ChainDepth > 0 {
-		return s.serveChainShare(file, window, round, alive, pos)
-	}
-	names, err := s.ctx.FS().List(file + "_s")
+	cats, rebuilt, err := s.roundCatalogs(file)
 	if err != nil {
 		s.noteReadErr()
 		return doneModeFailed
 	}
-	cat, catErr := catalog.Load(s.ctx.FS(), file)
-	var planByFile map[string]catalog.FilePlan
-	var inCat map[string]bool
-	if catErr == nil {
-		wanted := make(map[int]bool, len(round.wantAll))
-		for id := range round.wantAll {
-			wanted[id] = true
-		}
-		plans := cat.PlanReads(window, wanted)
-		planByFile = make(map[string]catalog.FilePlan, len(plans))
-		for _, p := range plans {
-			planByFile[p.File] = p
-		}
-		inCat = make(map[string]bool, len(cat.Files))
-		for _, name := range cat.Files {
-			inCat[name] = true
-		}
-	}
-	var items []readItem
-	listed := make(map[string]bool, len(names))
-	for i, name := range names {
-		listed[name] = true
-		if i%len(alive) != pos {
-			continue // round-robin file assignment
-		}
-		if catErr == nil {
-			if plan, ok := planByFile[name]; ok {
-				items = append(items, readItem{name: name, plan: plan})
-				continue
-			}
-			if inCat[name] || !strings.HasSuffix(name, ".rhdf") {
-				continue
-			}
-			items = append(items, readItem{name: name, scan: true})
-			continue
-		}
-		if !strings.HasSuffix(name, ".rhdf") {
-			continue
-		}
-		items = append(items, readItem{name: name, scan: true})
-	}
-	if catErr == nil {
-		// A planned file the listing no longer has (a lost primary) must
-		// still be attempted, or its panes would silently never ship and
-		// the whole generation would fall back even though replicas hold
-		// every byte. Deal the missing files round-robin too — sorted, so
-		// every server derives the same assignment from the same catalog —
-		// as ordinary planned items whose open failure triggers the
-		// per-pane replica retry.
-		var missing []string
-		for name := range planByFile {
-			if !listed[name] {
-				missing = append(missing, name)
-			}
-		}
-		sort.Strings(missing)
-		for j, name := range missing {
-			if j%len(alive) != pos {
-				continue
-			}
-			items = append(items, readItem{name: name, plan: planByFile[name]})
-		}
-	}
-	var ccat *catalog.Catalog
-	if catErr == nil {
-		ccat = cat
-	}
-	// Files that failed an open this round: a pane retry never re-reads
-	// them, so one lost file costs one failed open, not one per pane.
-	s.runReadPool(window, round, items, ccat)
-	if catErr == nil {
-		s.mx.catalogHits.Inc()
-		return doneModeIndexed
-	}
-	s.mx.catalogFallbacks.Inc()
-	return doneModeScan
-}
-
-// serveChainShare serves a delta generation's restart round. The head's
-// chain is loaded newest-first and every requested pane resolves to the
-// newest link whose block catalog holds it — each pane to exactly one
-// (generation, file, extent) — then each link's planned files are read and
-// shipped exactly like a single generation's, per-pane replica retries
-// included (recoverPanes with that link's catalog). The combined item list
-// is dealt round-robin across the surviving servers in deterministic
-// (chain, plan) order, so the servers partition the chain's files without
-// communicating.
-//
-// Chain restores are purely catalog-driven: a delta file does not spell
-// out the panes it inherits, so there is no directory-scan fallback. An
-// unloadable link (missing manifest or catalog) fails the round —
-// doneModeFailed, nothing shipped from this server — and the clients'
-// completeness check sends the restore walk back past the whole chain.
-func (s *server) serveChainShare(file, window string, round *readRound, alive []int, pos int) byte {
-	chain, err := snapshot.LoadChain(s.ctx.FS(), file)
-	if err != nil {
-		s.noteReadErr()
-		return doneModeFailed
-	}
-	s.mx.chainDepth.SetMax(float64(len(chain) - 1))
 	wanted := make(map[int]bool, len(round.wantAll))
 	for id := range round.wantAll {
 		wanted[id] = true
 	}
-	cats := snapshot.ChainCatalogs(chain)
 	assign := catalog.ResolvePanes(cats, window, wanted)
 	var items []readItem
 	j := 0
 	for gi, cat := range cats {
 		for _, plan := range cat.PlanReads(window, assign[gi]) {
 			if j%len(alive) == pos {
-				items = append(items, readItem{name: plan.File, plan: plan, cat: cat})
+				items = append(items, readItem{plan: plan, cat: cat})
 			}
 			j++
 		}
 	}
-	s.runReadPool(window, round, items, nil)
-	s.mx.catalogHits.Inc()
+	s.runReadPool(window, round, items)
+	if rebuilt {
+		s.mx.catalogFallbacks.Inc()
+	} else {
+		s.mx.catalogHits.Inc()
+	}
 	return doneModeIndexed
+}
+
+// roundCatalogs returns the block catalogs a restart round of file reads
+// from, newest first. A delta generation's are its chain's links: a delta
+// file does not spell out the panes it inherits, so an unloadable link
+// fails the round and the clients' completeness check sends the restore
+// walk back past the whole chain. Any other generation has one catalog:
+// the committed blob, or — when the blob is missing or damaged (rebuilt
+// reports it) — one rebuilt from the RHDF files' own directories, by the
+// walk snapshot.Commit runs and in its lexical listing order, so an intact
+// generation's rebuild encodes byte-identically to the blob it replaces.
+// Either way a listed file the catalog does not index (a server wrongly
+// declared dead renamed its file into place after the commit) joins by the
+// same walk; a file whose directory cannot be read is skipped, since it
+// has no panes to plan.
+func (s *server) roundCatalogs(file string) (cats []*catalog.Catalog, rebuilt bool, err error) {
+	fsys := s.ctx.FS()
+	if m, err := snapshot.Load(fsys, file); err == nil && m.ChainDepth > 0 {
+		chain, err := snapshot.LoadChain(fsys, file)
+		if err != nil {
+			return nil, false, err
+		}
+		s.mx.chainDepth.SetMax(float64(len(chain) - 1))
+		return snapshot.ChainCatalogs(chain), false, nil
+	}
+	names, err := fsys.List(file + "_s")
+	if err != nil {
+		return nil, false, err
+	}
+	cat, err := catalog.Load(fsys, file)
+	if err != nil {
+		cat, rebuilt = &catalog.Catalog{}, true
+	}
+	indexed := make(map[string]bool, len(cat.Files))
+	for _, name := range cat.Files {
+		indexed[name] = true
+	}
+	for _, name := range names {
+		if indexed[name] || !strings.HasSuffix(name, ".rhdf") {
+			continue
+		}
+		_, _, sets, err := hdf.ScanDir(fsys, name)
+		if err != nil {
+			s.skipFile(0)
+			continue
+		}
+		cat.AddFile(name, sets)
+	}
+	return []*catalog.Catalog{cat}, rebuilt, nil
 }
 
 // paneShip is one pane's ship-ready payload: assembled datasets destined
 // for the owning client. Building one never sends anything — the server
 // goroutine owns all network traffic (simulated endpoints charge the
-// sending process), so workers assemble and the request loop ships.
+// sending process).
 type paneShip struct {
 	owner int
 	sets  []roccom.IOSet
@@ -707,9 +655,8 @@ func (s *server) noteRestartBytes(n int64) {
 // entries into per-pane payloads, in plan (entry) order. ok is false when
 // anything is damaged — CRC mismatch (crcFailed then reports it), an
 // extent outside its run, a bad inflate, a short payload: the whole file
-// must be skipped with nothing shipped, matching the scan path's
-// semantics so a restart never mixes verified and unverified panes from
-// one file. Pure with respect to the server (safe to call with
+// must be skipped with nothing shipped, so a restart never mixes verified
+// and unverified panes from one file. Pure with respect to the server (safe to call with
 // worker-filled buffers after the handoff).
 func assembleShips(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, round *readRound) (ships []paneShip, crcFailed, ok bool) {
 	stored := make([][]byte, len(plan.Entries))
@@ -774,9 +721,6 @@ func assembleShips(plan catalog.FilePlan, runs []catalog.Run, bufs [][]byte, rou
 // semantics the replica layer promises. It reports how many panes it
 // recovered (and shipped).
 func (s *server) recoverPanes(cat *catalog.Catalog, window string, round *readRound, plan catalog.FilePlan, badFiles map[string]bool) int {
-	if cat == nil {
-		return 0 // scan mode has no index of copies; the listing covers replicas
-	}
 	seen := make(map[int]bool)
 	var panes []int
 	for i := range plan.Entries {
@@ -848,62 +792,4 @@ func (s *server) tryPaneSource(plan catalog.FilePlan, round *readRound) (ok, ope
 	s.noteRestartBytes(read)
 	s.sendShips(ships)
 	return true, true
-}
-
-// collectScanFile walks one snapshot file and assembles the requested
-// panes of the window into ship-ready payloads, without sending anything.
-// Run by the read engine's scan tasks with the clock and filesystem view
-// of whoever runs them (the server inline, a worker in the pool), so the
-// profile's per-dataset lookup costs charge to the walking process. bytesRead counts payload bytes
-// pulled from the file whether or not the walk succeeded; failed means the
-// whole file must be skipped (unopenable — what a crashed server leaves
-// behind — or damaged mid-walk), with nothing shipped from it.
-func collectScanFile(fsys rt.FS, clock rt.Clock, profile hdf.CostProfile, reg *metrics.Registry,
-	name, window string, round *readRound) (ships []paneShip, bytesRead int64, opened, failed bool) {
-	r, err := hdf.Open(fsys, name, clock, profile)
-	if err != nil {
-		return nil, 0, false, true
-	}
-	r.Metrics = reg
-	defer r.Close()
-
-	panes := make(map[int]*paneShip)
-	var order []int
-	for _, d := range r.Datasets() {
-		win, paneID, _, ok := roccom.ParseDatasetName(d.Name)
-		if !ok || win != window {
-			continue
-		}
-		owner, wanted := round.wantAll[paneID]
-		if !wanted {
-			continue
-		}
-		// Locate and read through the library (charges lookup cost).
-		ds, ok := r.Lookup(d.Name)
-		if !ok {
-			continue
-		}
-		data, err := r.ReadData(ds)
-		if err != nil {
-			// A checksum mismatch (or read failure) in a committed file:
-			// damaged after commit. The whole file is skipped — nothing
-			// has been shipped yet — so the restart either recovers the
-			// panes from another server's file or reports the snapshot
-			// incomplete, sending the caller back a generation.
-			return nil, bytesRead, true, true
-		}
-		bytesRead += int64(len(data))
-		pd, ok := panes[paneID]
-		if !ok {
-			pd = &paneShip{owner: owner}
-			panes[paneID] = pd
-			order = append(order, paneID)
-		}
-		pd.sets = append(pd.sets, roccom.IOSet{Name: ds.Name, Type: ds.Type, Dims: ds.Dims, Attrs: ds.Attrs, Data: data})
-	}
-	ships = make([]paneShip, 0, len(order))
-	for _, id := range order {
-		ships = append(ships, *panes[id])
-	}
-	return ships, bytesRead, true, false
 }

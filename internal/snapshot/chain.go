@@ -27,8 +27,8 @@ const maxChainDepth = 1024
 // loadable, valid manifest — a missing or damaged link is an error (the
 // chain cannot resolve panes without it) — and each link's catalog is
 // loaded alongside; a catalog that fails to load is an error too, since
-// chain resolution is catalog-driven (there is no scan fallback across
-// generations: a delta's files do not spell out the inherited panes).
+// chain resolution is catalog-driven (a delta's files do not spell out
+// the inherited panes, so a link's catalog cannot be rebuilt from them).
 func LoadChain(fsys rt.FS, base string) ([]ChainGen, error) {
 	var chain []ChainGen
 	seen := make(map[string]bool)

@@ -18,8 +18,9 @@ const (
 	VerdictCorrupt     = "CORRUPT"
 	// VerdictCatalogMismatch marks a generation whose data files all scrub
 	// clean but whose block catalog disagrees with them — a stale, damaged,
-	// or incomplete index. Restart still works (the scan fallback ignores
-	// the catalog) but indexed reads would not, so the scrub fails.
+	// or incomplete index. A blob that fails to decode is rebuilt from the
+	// files' directories at restart, but one that decodes and lies would
+	// misdirect the planned reads, so the scrub fails.
 	VerdictCatalogMismatch = "CATALOG-MISMATCH"
 	// VerdictRepaired marks a generation Repair rebuilt from verified
 	// replica copies and re-scrubbed clean. It counts as clean.
@@ -27,8 +28,9 @@ const (
 	// VerdictCatalogMissing marks a generation whose manifest parses and
 	// pins a catalog blob that is simply absent on disk — distinct from
 	// CATALOG-MISMATCH (a blob that exists but lies) so operators can
-	// tell deletion from damage. Restart still works via the scan
-	// fallback, but indexed reads and chain resolution cannot.
+	// tell deletion from damage. A full generation's restart still works
+	// (servers rebuild the catalog from the files' directories), but chain
+	// resolution cannot.
 	VerdictCatalogMissing = "CATALOG-MISSING"
 	// VerdictChainBroken marks a committed delta generation whose own
 	// files scrub clean but whose chain does not resolve: a base

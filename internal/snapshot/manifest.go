@@ -35,7 +35,7 @@ const Suffix = ".manifest"
 // the catalog is written before the manifest, so the commit record can
 // carry its size and whole-blob CRC32C, letting readers detect a damaged
 // or swapped catalog cheaply. Absent on generations committed by older
-// writers; restart then uses the scan path.
+// writers; restart then rebuilds the catalog from the files' directories.
 type CatalogRef struct {
 	Name string `json:"name"`
 	Size int64  `json:"size"`
